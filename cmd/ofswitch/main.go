@@ -211,6 +211,9 @@ func run() int {
 	rx, rxB, tx, txB, misses := agent.Stats()
 	logger.Printf("ofswitch: final: rx %d frames (%d B), tx %d frames (%d B), %d misses, %d egress callbacks, %d rules installed",
 		rx, rxB, tx, txB, misses, egress.Load(), agent.TableLen())
+	ts := agent.TimerStats()
+	logger.Printf("ofswitch: final: deadline timer fired %d times (%d with nothing due), set %d times",
+		ts.Ticks, ts.EarlyTicks, ts.Rearms)
 	if err := agent.Close(); err != nil {
 		logger.Printf("ofswitch: close: %v", err)
 		return 1

@@ -16,7 +16,9 @@ import (
 // LookupOracle — and leave identical counters behind — for any mix of exact
 // and wildcard rules. Two tables are driven through the same randomized
 // insert/delete/expire sequence; one is probed via Lookup, the other via
-// LookupOracle, and every divergence is a bug in the index.
+// LookupOracle, and every divergence is a bug in the index. The probed table
+// is a checkedTable, so the same sequence also holds the deadline/eviction
+// index to its scan oracles after every step (index_test.go).
 
 // eqFrame builds a parseable frame from a small field universe so probes
 // collide with rules often enough to exercise hits, ties and misses.
@@ -72,15 +74,26 @@ func cloneEntry(e *Entry) *Entry {
 }
 
 func TestLookupMatchesOracle(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
+	runLookupEquivalence(t, eqFrame, eqMatch, (*Table).LookupOracle)
+}
+
+// runLookupEquivalence is the randomized sequence shared with the masked
+// variant (masked_test.go): seeds cycle through every table shape, and
+// through rule sets with some, no and only timed rules.
+func runLookupEquivalence(t *testing.T,
+	frame func(*rand.Rand) *packet.Frame,
+	match func(*rand.Rand, uint16, *packet.Frame) openflow.Match,
+	oracleLookup func(*Table, time.Duration, uint16, *packet.Frame, int) *Entry,
+) {
+	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
+		shape := tableShapes[seed%4]
+		timeouts := seed / 4 // 0: one rule in four each way, 1: none, 2: idle on every rule
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			indexed, err := New(Unlimited, EvictNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := New(Unlimited, EvictNone)
+			indexed := newCheckedTable(t, shape.capacity, shape.policy)
+			indexed.sparse = (seed%4+seed/4)%2 == 1
+			oracle, err := New(shape.capacity, shape.policy)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -88,11 +101,11 @@ func TestLookupMatchesOracle(t *testing.T) {
 			var cookie uint64
 
 			probe := func() {
-				f := eqFrame(rng)
+				f := frame(rng)
 				inPort := uint16(1 + rng.Intn(3))
 				wireLen := 60 + rng.Intn(1400)
-				got := indexed.Lookup(now, inPort, f, wireLen)
-				want := oracle.LookupOracle(now, inPort, f, wireLen)
+				got := indexed.tbl.Lookup(now, inPort, f, wireLen)
+				want := oracleLookup(oracle, now, inPort, f, wireLen)
 				switch {
 				case (got == nil) != (want == nil):
 					t.Fatalf("t=%v frame %v in_port %d: Lookup=%v, oracle=%v", now, f.Key(), inPort, got, want)
@@ -100,46 +113,64 @@ func TestLookupMatchesOracle(t *testing.T) {
 					t.Fatalf("t=%v frame %v in_port %d: Lookup chose rule %d (prio %d), oracle rule %d (prio %d)",
 						now, f.Key(), inPort, got.Cookie, got.Priority, want.Cookie, want.Priority)
 				}
+				indexed.verify(now)
+			}
+			sameRemovals := func(what string, a, b []Removed) {
+				t.Helper()
+				if len(a) != len(b) {
+					t.Fatalf("%s removed %d vs %d rules", what, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].Entry.Cookie != b[i].Entry.Cookie || a[i].Reason != b[i].Reason {
+						t.Fatalf("%s removal %d: rule %d reason %d vs rule %d reason %d", what, i,
+							a[i].Entry.Cookie, a[i].Reason, b[i].Entry.Cookie, b[i].Reason)
+					}
+				}
 			}
 
 			for op := 0; op < 600; op++ {
 				now += time.Duration(rng.Intn(5)) * time.Millisecond
-				switch r := rng.Intn(10); {
-				case r < 4: // insert a rule (possibly replacing)
+				switch r := rng.Intn(20); {
+				case r < 8: // insert a rule (possibly replacing, evicting or refused)
 					cookie++
 					e := &Entry{
-						Match:    eqMatch(rng, uint16(1+rng.Intn(3)), eqFrame(rng)),
+						Match:    match(rng, uint16(1+rng.Intn(3)), frame(rng)),
 						Priority: []uint16{50, 100, 100, 200}[rng.Intn(4)],
+						Actions:  []openflow.Action{&openflow.ActionOutput{Port: uint16(1 + rng.Intn(3))}},
 						Cookie:   cookie,
 					}
-					if rng.Intn(4) == 0 {
+					idle, hard := rng.Intn(4) == 0, rng.Intn(4) == 0
+					if timeouts == 2 || timeouts == 0 && idle {
 						e.IdleTimeout = time.Duration(1+rng.Intn(20)) * time.Millisecond
 					}
-					if rng.Intn(4) == 0 {
+					if timeouts == 0 && hard {
 						e.HardTimeout = time.Duration(1+rng.Intn(30)) * time.Millisecond
 					}
-					if _, err := indexed.Insert(now, cloneEntry(e)); err != nil {
-						t.Fatalf("indexed insert: %v", err)
+					va, erra := indexed.insert(now, cloneEntry(e))
+					vb, errb := oracle.Insert(now, cloneEntry(e))
+					if (erra == nil) != (errb == nil) || (va == nil) != (vb == nil) ||
+						va != nil && va.Entry.Cookie != vb.Entry.Cookie {
+						t.Fatalf("insert: (%v, %v) vs (%v, %v)", va, erra, vb, errb)
 					}
-					if _, err := oracle.Insert(now, cloneEntry(e)); err != nil {
-						t.Fatalf("oracle insert: %v", err)
-					}
-				case r < 5: // delete a random installed rule
-					es := indexed.Entries()
-					if len(es) == 0 {
+				case r < 10: // delete a random installed rule, strictly or by cover
+					if len(indexed.model) == 0 {
 						continue
 					}
-					victim := es[rng.Intn(len(es))]
-					a := indexed.Delete(now, &victim.Match, victim.Priority, true, openflow.PortNone)
-					b := oracle.Delete(now, &victim.Match, victim.Priority, true, openflow.PortNone)
-					if len(a) != len(b) {
-						t.Fatalf("delete removed %d vs %d rules", len(a), len(b))
-					}
-				case r < 6: // expiry sweep
-					a := indexed.Expire(now)
-					b := oracle.Expire(now)
-					if len(a) != len(b) {
-						t.Fatalf("expire removed %d vs %d rules", len(a), len(b))
+					victim := indexed.model[rng.Intn(len(indexed.model))]
+					m, prio, strict := victim.Match, victim.Priority, r == 8
+					sameRemovals("delete",
+						indexed.removed(now, indexed.tbl.Delete(now, &m, prio, strict, openflow.PortNone)),
+						oracle.Delete(now, &m, prio, strict, openflow.PortNone))
+				case r < 12: // expiry sweep
+					sameRemovals("expire", indexed.expire(now), oracle.Expire(now))
+				case r < 13 && rng.Intn(4) == 0: // a data port goes down; rarer still, a crash
+					if port := uint16(rng.Intn(4)); port > 0 {
+						sameRemovals("port-down",
+							indexed.removed(now, indexed.tbl.DeleteByOutPort(now, port, openflow.RemovedDelete)),
+							oracle.DeleteByOutPort(now, port, openflow.RemovedDelete))
+					} else {
+						indexed.clear(now)
+						oracle.Clear()
 					}
 				default:
 					probe()
@@ -148,7 +179,7 @@ func TestLookupMatchesOracle(t *testing.T) {
 
 			// Final state: identical rule lists, per-rule counters, and
 			// aggregate lookup statistics.
-			ea, eb := indexed.Entries(), oracle.Entries()
+			ea, eb := indexed.tbl.Entries(), oracle.Entries()
 			if len(ea) != len(eb) {
 				t.Fatalf("tables diverged: %d vs %d rules", len(ea), len(eb))
 			}
@@ -163,10 +194,10 @@ func TestLookupMatchesOracle(t *testing.T) {
 						i, ea[i].Cookie, pa, ba, ea[i].LastUsed(), pb, bb, eb[i].LastUsed())
 				}
 			}
-			la, ha, ma, _ := indexed.LookupStats()
-			lb, hb, mb, _ := oracle.LookupStats()
-			if la != lb || ha != hb || ma != mb {
-				t.Errorf("lookup stats diverged: %d/%d/%d vs %d/%d/%d", la, ha, ma, lb, hb, mb)
+			la, ha, ma, va := indexed.tbl.LookupStats()
+			lb, hb, mb, vb := oracle.LookupStats()
+			if la != lb || ha != hb || ma != mb || va != vb {
+				t.Errorf("lookup stats diverged: %d/%d/%d/%d vs %d/%d/%d/%d", la, ha, ma, va, lb, hb, mb, vb)
 			}
 		})
 	}

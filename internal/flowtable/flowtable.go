@@ -21,17 +21,23 @@
 // scans are retained as LookupOracle and LookupMaskedOracle and
 // property-tested for equivalence (DESIGN.md §10, §17).
 //
+// Timeouts and eviction are served by lazily repaired min-heaps (index.go):
+// NextExpiry, Expire and the table-full victim search cost O(log n) instead
+// of a pass over every rule, and Lookup's hit path does not know they exist.
+//
 // All methods take the current time explicitly (a time.Duration since the
 // start of the run) so the same code serves the virtual-time simulator and
-// the live switch.
+// the live switch. Time must not run backwards between calls: the index
+// relies on a rule's lastUsed only ever moving forward.
 package flowtable
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"encoding/binary"
-	"math"
 	"net/netip"
+	"slices"
 	"sort"
 	"time"
 
@@ -57,6 +63,12 @@ type Entry struct {
 	packets     uint64
 	bytes       uint64
 	seq         uint64 // insertion order; tie-breaks equal priorities like scan position
+
+	// Table membership: the insertion-order list and this rule's slot in
+	// each index heap (1-based, 0 = not in that heap). Zero while the rule
+	// is outside a table.
+	prev, next *Entry
+	hpos       [numHeaps]int32
 }
 
 // Stats reports the rule's traffic counters and age.
@@ -307,7 +319,18 @@ func (tu *tuple) frameKey(inPort uint16, f *packet.Frame) tupleKey {
 type Table struct {
 	capacity int
 	policy   EvictionPolicy
-	entries  []*Entry
+
+	// The rules in insertion order (ascending seq: a replacement inherits
+	// both the seq and the list position of the rule it replaces), as an
+	// intrusive list so that an eviction from the middle costs O(1).
+	head, tail *Entry
+	n          int
+
+	// deadlines indexes the rules that carry a timeout by expiryInstant;
+	// lru indexes every rule of a bounded EvictLRU table by lastUsed. Both
+	// stay empty, without storage, on tables that never need them.
+	deadlines lazyHeap
+	lru       lazyHeap
 
 	// tuples holds one hash table per distinct wildcard pattern, sorted by
 	// (maxPrio desc, born asc) so Lookup can stop early; tupleByMask finds
@@ -336,12 +359,14 @@ func New(capacity int, policy EvictionPolicy) (*Table, error) {
 	return &Table{
 		capacity:    capacity,
 		policy:      policy,
+		deadlines:   lazyHeap{kind: byDeadline},
+		lru:         lazyHeap{kind: byLRU},
 		tupleByMask: make(map[uint32]*tuple),
 	}, nil
 }
 
 // Len reports the number of installed rules.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return t.n }
 
 // Capacity reports the configured bound (Unlimited if none).
 func (t *Table) Capacity() int { return t.capacity }
@@ -394,7 +419,7 @@ func (t *Table) Lookup(now time.Duration, inPort uint16, f *packet.Frame, wireLe
 // property test checks Lookup against; production code uses Lookup.
 func (t *Table) LookupOracle(now time.Duration, inPort uint16, f *packet.Frame, wireLen int) *Entry {
 	var best *Entry
-	for _, e := range t.entries {
+	for e := t.head; e != nil; e = e.next {
 		if best != nil && e.Priority <= best.Priority {
 			continue
 		}
@@ -412,7 +437,7 @@ func (t *Table) LookupOracle(now time.Duration, inPort uint16, f *packet.Frame, 
 // masked rule sets; production code uses Lookup.
 func (t *Table) LookupMaskedOracle(now time.Duration, inPort uint16, f *packet.Frame, wireLen int) *Entry {
 	var best *Entry
-	for _, e := range t.entries {
+	for e := t.head; e != nil; e = e.next {
 		if e.Match.Matches(inPort, f) && better(e, best) {
 			best = e
 		}
@@ -461,7 +486,7 @@ func (t *Table) sortTuples() {
 	})
 }
 
-// attach adds a freshly appended entry to its tuple.
+// attach gives a new rule its seq and adds it to its tuple.
 func (t *Table) attach(e *Entry) {
 	t.nextSeq++
 	e.seq = t.nextSeq
@@ -475,7 +500,7 @@ func (t *Table) attach(e *Entry) {
 	}
 }
 
-// detach removes an entry from its tuple (not from t.entries). maxPrio is a
+// detach removes an entry from its tuple (not from the list). maxPrio is a
 // high-water mark and is deliberately not recomputed — a stale bound only
 // costs an extra probe, never a wrong answer — but a tuple whose last rule
 // leaves is dropped entirely.
@@ -505,16 +530,6 @@ func (t *Table) detach(e *Entry) {
 				t.tuples = append(t.tuples[:i], t.tuples[i+1:]...)
 				break
 			}
-		}
-	}
-}
-
-// replaceInEntries swaps old for e in the master list, preserving position.
-func (t *Table) replaceInEntries(old, e *Entry) {
-	for i, b := range t.entries {
-		if b == old {
-			t.entries[i] = e
-			return
 		}
 	}
 }
@@ -557,56 +572,97 @@ func (t *Table) Insert(now time.Duration, e *Entry) (*Removed, error) {
 			if old.Priority == e.Priority && old.Match.Equal(&e.Match) {
 				e.seq = old.seq // keep the scan-position tie-break stable
 				tu.buckets[k][i] = e
-				t.replaceInEntries(old, e)
+				t.unindex(old)
+				t.relink(old, e)
+				t.index(e)
 				return nil, nil
 			}
 		}
 	}
 
 	var victim *Removed
-	if t.capacity != Unlimited && len(t.entries) >= t.capacity {
-		idx := -1
+	if t.capacity != Unlimited && t.n >= t.capacity {
+		var v *Entry
 		switch t.policy {
 		case EvictNone:
-			return nil, fmt.Errorf("%w: %d rules", ErrTableFull, len(t.entries))
+			return nil, fmt.Errorf("%w: %d rules", ErrTableFull, t.n)
 		case EvictLRU:
-			idx = 0
-			for i, old := range t.entries {
-				if old.lastUsed < t.entries[idx].lastUsed {
-					idx = i
-				}
-			}
+			v, _ = t.lru.min()
 		case EvictSoonestExpiry:
-			idx = 0
-			bestAt := time.Duration(math.MaxInt64)
-			if d, ok := expiryInstant(t.entries[0]); ok {
-				bestAt = d
-			}
-			for i, old := range t.entries[1:] {
-				at := time.Duration(math.MaxInt64)
-				if d, ok := expiryInstant(old); ok {
-					at = d
-				}
-				// Strict < keeps the earliest-installed rule (entries order
-				// is insertion order) as the deterministic tie-break.
-				if at < bestAt {
-					bestAt, idx = at, i+1
-				}
+			// Rules without a timeout expire never and lose to any rule with
+			// one; among themselves the earliest-installed goes.
+			if v, _ = t.deadlines.min(); v == nil {
+				v = t.head
 			}
 		}
-		if idx >= 0 {
-			r := removedRecord(t.entries[idx], openflow.RemovedEviction, now)
-			victim = &r
-			t.detach(t.entries[idx])
-			copy(t.entries[idx:], t.entries[idx+1:])
-			t.entries[len(t.entries)-1] = nil
-			t.entries = t.entries[:len(t.entries)-1]
-			t.evictions++
-		}
+		r := removedRecord(v, openflow.RemovedEviction, now)
+		victim = &r
+		t.remove(v)
+		t.evictions++
 	}
-	t.entries = append(t.entries, e)
+	e.prev, e.next = t.tail, nil
+	if t.tail != nil {
+		t.tail.next = e
+	} else {
+		t.head = e
+	}
+	t.tail = e
+	t.n++
 	t.attach(e)
+	t.index(e)
 	return victim, nil
+}
+
+// index enters a listed rule into the heaps that serve it.
+func (t *Table) index(e *Entry) {
+	if e.IdleTimeout > 0 || e.HardTimeout > 0 {
+		t.deadlines.push(e, t.capacity)
+	}
+	if t.policy == EvictLRU && t.capacity != Unlimited {
+		t.lru.push(e, t.capacity)
+	}
+}
+
+func (t *Table) unindex(e *Entry) {
+	t.deadlines.remove(e)
+	t.lru.remove(e)
+}
+
+// relink puts e in old's place in the insertion-order list.
+func (t *Table) relink(old, e *Entry) {
+	if old == e {
+		return
+	}
+	e.prev, e.next = old.prev, old.next
+	old.prev, old.next = nil, nil
+	if e.prev != nil {
+		e.prev.next = e
+	} else {
+		t.head = e
+	}
+	if e.next != nil {
+		e.next.prev = e
+	} else {
+		t.tail = e
+	}
+}
+
+// remove takes a rule out of the table: tuple, indexes and list.
+func (t *Table) remove(e *Entry) {
+	t.detach(e)
+	t.unindex(e)
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		t.head = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		t.tail = e.prev
+	}
+	e.prev, e.next = nil, nil
+	t.n--
 }
 
 // Delete removes every rule whose match equals m (strict) or is matched by
@@ -614,8 +670,8 @@ func (t *Table) Insert(now time.Duration, e *Entry) (*Removed, error) {
 // simplicity of the subset). It returns the removed rules.
 func (t *Table) Delete(now time.Duration, m *openflow.Match, priority uint16, strict bool, outPort uint16) []Removed {
 	var removed []Removed
-	kept := t.entries[:0]
-	for _, e := range t.entries {
+	for e, next := t.head, (*Entry)(nil); e != nil; e = next {
+		next = e.next
 		var match bool
 		if strict {
 			match = e.Match.Equal(m) && e.Priority == priority
@@ -632,14 +688,10 @@ func (t *Table) Delete(now time.Duration, m *openflow.Match, priority uint16, st
 			match = outputsTo(e.Actions, outPort)
 		}
 		if match {
-			t.detach(e)
+			t.remove(e)
 			removed = append(removed, removedRecord(e, openflow.RemovedDelete, now))
-		} else {
-			kept = append(kept, e)
 		}
 	}
-	clearTail(t.entries, len(kept))
-	t.entries = kept
 	return removed
 }
 
@@ -659,17 +711,13 @@ func outputsTo(actions []openflow.Action, port uint16) bool {
 // cleanup when a data port goes down.
 func (t *Table) DeleteByOutPort(now time.Duration, port uint16, reason uint8) []Removed {
 	var removed []Removed
-	kept := t.entries[:0]
-	for _, e := range t.entries {
+	for e, next := t.head, (*Entry)(nil); e != nil; e = next {
+		next = e.next
 		if outputsTo(e.Actions, port) {
-			t.detach(e)
+			t.remove(e)
 			removed = append(removed, removedRecord(e, reason, now))
-		} else {
-			kept = append(kept, e)
 		}
 	}
-	clearTail(t.entries, len(kept))
-	t.entries = kept
 	return removed
 }
 
@@ -678,55 +726,51 @@ func (t *Table) DeleteByOutPort(now time.Duration, port uint16, reason uint8) []
 // notifications about the ones it lost. It returns how many rules were
 // dropped so ledger-keeping callers can account for the loss.
 func (t *Table) Clear() int {
-	n := len(t.entries)
-	for _, e := range t.entries {
-		t.detach(e)
+	n := t.n
+	for t.head != nil {
+		t.remove(t.head)
 	}
-	clearTail(t.entries, 0)
-	t.entries = t.entries[:0]
 	return n
 }
 
 // Expire removes rules whose idle or hard timeout has passed, returning them
-// with the matching reason codes.
+// in insertion order with the matching reason codes (a rule due on both
+// counts reports the hard timeout). It costs O(due · log n): the heap's stored
+// keys are lower bounds, so a top that is not yet due ends the sweep.
 func (t *Table) Expire(now time.Duration) []Removed {
 	var removed []Removed
-	kept := t.entries[:0]
-	for _, e := range t.entries {
-		switch {
-		case e.HardTimeout > 0 && now-e.installedAt >= e.HardTimeout:
-			t.detach(e)
-			removed = append(removed, removedRecord(e, openflow.RemovedHardTimeout, now))
-		case e.IdleTimeout > 0 && now-e.lastUsed >= e.IdleTimeout:
-			t.detach(e)
-			removed = append(removed, removedRecord(e, openflow.RemovedIdleTimeout, now))
-		default:
-			kept = append(kept, e)
+	for t.deadlines.mayBeDue(now) {
+		e, at := t.deadlines.min()
+		if at > now {
+			break // the top was stale; repaired, nothing is due
 		}
+		reason := openflow.RemovedIdleTimeout
+		if e.HardTimeout > 0 && now-e.installedAt >= e.HardTimeout {
+			reason = openflow.RemovedHardTimeout
+		}
+		t.remove(e)
+		removed = append(removed, removedRecord(e, reason, now))
 	}
-	clearTail(t.entries, len(kept))
-	t.entries = kept
+	if len(removed) > 1 {
+		slices.SortFunc(removed, func(a, b Removed) int { return cmp.Compare(a.Entry.seq, b.Entry.seq) })
+	}
 	return removed
 }
 
-// NextExpiry reports the earliest future instant at which some rule could
-// expire, and false if no rule carries a timeout. The simulator uses it to
-// schedule expiry sweeps without polling.
+// NextExpiry reports the earliest instant at which some rule could expire,
+// and false if no rule carries a timeout. The simulator schedules its expiry
+// sweeps from it without polling, so the answer is exact, not a bound.
 func (t *Table) NextExpiry() (time.Duration, bool) {
-	var next time.Duration
-	found := false
-	for _, e := range t.entries {
-		if d, ok := expiryInstant(e); ok && (!found || d < next) {
-			next, found = d, true
-		}
-	}
-	return next, found
+	e, at := t.deadlines.min()
+	return at, e != nil
 }
 
 // Entries returns a snapshot copy of the rule list (for stats and tests).
 func (t *Table) Entries() []*Entry {
-	out := make([]*Entry, len(t.entries))
-	copy(out, t.entries)
+	out := make([]*Entry, 0, t.n)
+	for e := t.head; e != nil; e = e.next {
+		out = append(out, e)
+	}
 	return out
 }
 
@@ -748,9 +792,3 @@ func (t *Table) IndexSize() (indexed, wildcard int) {
 // TupleCount reports the number of distinct wildcard patterns currently
 // installed — the breadth of the tuple-space search.
 func (t *Table) TupleCount() int { return len(t.tuples) }
-
-func clearTail(s []*Entry, from int) {
-	for i := from; i < len(s); i++ {
-		s[i] = nil
-	}
-}

@@ -1,7 +1,6 @@
 package flowtable
 
 import (
-	"fmt"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -67,102 +66,7 @@ func maskedMatch(rng *rand.Rand, inPort uint16, f *packet.Frame) openflow.Match 
 }
 
 func TestMaskedLookupMatchesOracle(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			indexed, err := New(Unlimited, EvictNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := New(Unlimited, EvictNone)
-			if err != nil {
-				t.Fatal(err)
-			}
-			now := time.Duration(0)
-			var cookie uint64
-
-			probe := func() {
-				f := maskedFrame(rng)
-				inPort := uint16(1 + rng.Intn(3))
-				wireLen := 60 + rng.Intn(1400)
-				got := indexed.Lookup(now, inPort, f, wireLen)
-				want := oracle.LookupMaskedOracle(now, inPort, f, wireLen)
-				switch {
-				case (got == nil) != (want == nil):
-					t.Fatalf("t=%v frame %v in_port %d: Lookup=%v, masked oracle=%v", now, f.Key(), inPort, got, want)
-				case got != nil && got.Cookie != want.Cookie:
-					t.Fatalf("t=%v frame %v in_port %d: Lookup chose rule %d (prio %d), masked oracle rule %d (prio %d)",
-						now, f.Key(), inPort, got.Cookie, got.Priority, want.Cookie, want.Priority)
-				}
-			}
-
-			for op := 0; op < 600; op++ {
-				now += time.Duration(rng.Intn(5)) * time.Millisecond
-				switch r := rng.Intn(10); {
-				case r < 4: // insert a rule (possibly replacing)
-					cookie++
-					e := &Entry{
-						Match:    maskedMatch(rng, uint16(1+rng.Intn(3)), maskedFrame(rng)),
-						Priority: []uint16{50, 100, 100, 200}[rng.Intn(4)],
-						Cookie:   cookie,
-					}
-					if rng.Intn(4) == 0 {
-						e.IdleTimeout = time.Duration(1+rng.Intn(20)) * time.Millisecond
-					}
-					if rng.Intn(4) == 0 {
-						e.HardTimeout = time.Duration(1+rng.Intn(30)) * time.Millisecond
-					}
-					if _, err := indexed.Insert(now, cloneEntry(e)); err != nil {
-						t.Fatalf("indexed insert: %v", err)
-					}
-					if _, err := oracle.Insert(now, cloneEntry(e)); err != nil {
-						t.Fatalf("oracle insert: %v", err)
-					}
-				case r < 5: // delete a random installed rule
-					es := indexed.Entries()
-					if len(es) == 0 {
-						continue
-					}
-					victim := es[rng.Intn(len(es))]
-					a := indexed.Delete(now, &victim.Match, victim.Priority, true, openflow.PortNone)
-					b := oracle.Delete(now, &victim.Match, victim.Priority, true, openflow.PortNone)
-					if len(a) != len(b) {
-						t.Fatalf("delete removed %d vs %d rules", len(a), len(b))
-					}
-				case r < 6: // expiry sweep
-					a := indexed.Expire(now)
-					b := oracle.Expire(now)
-					if len(a) != len(b) {
-						t.Fatalf("expire removed %d vs %d rules", len(a), len(b))
-					}
-				default:
-					probe()
-				}
-			}
-
-			ea, eb := indexed.Entries(), oracle.Entries()
-			if len(ea) != len(eb) {
-				t.Fatalf("tables diverged: %d vs %d rules", len(ea), len(eb))
-			}
-			for i := range ea {
-				if ea[i].Cookie != eb[i].Cookie {
-					t.Fatalf("rule %d: cookie %d vs %d", i, ea[i].Cookie, eb[i].Cookie)
-				}
-				pa, ba, _ := ea[i].Stats(now)
-				pb, bb, _ := eb[i].Stats(now)
-				if pa != pb || ba != bb || ea[i].LastUsed() != eb[i].LastUsed() {
-					t.Errorf("rule %d (cookie %d): counters %d/%d/%v vs %d/%d/%v",
-						i, ea[i].Cookie, pa, ba, ea[i].LastUsed(), pb, bb, eb[i].LastUsed())
-				}
-			}
-			la, ha, ma, _ := indexed.LookupStats()
-			lb, hb, mb, _ := oracle.LookupStats()
-			if la != lb || ha != hb || ma != mb {
-				t.Errorf("lookup stats diverged: %d/%d/%d vs %d/%d/%d", la, ha, ma, lb, hb, mb)
-			}
-		})
-	}
+	runLookupEquivalence(t, maskedFrame, maskedMatch, (*Table).LookupMaskedOracle)
 }
 
 // TestPrefixMaskMatching pins the CIDR semantics deterministically: a /24

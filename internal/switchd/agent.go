@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sdnbuffer/internal/core"
@@ -106,19 +107,30 @@ type Agent struct {
 	rng          *rand.Rand    // jitter source; used only by reconnectLoop
 	stop         chan struct{} // closed by Close to abort backoff sleeps
 
-	mu       sync.Mutex
-	dp       *Datapath
-	conn     net.Conn
-	addr     string // last Connect target, for automatic redial
-	writeMu  sync.Mutex
-	writer   *openflow.Writer // per-connection encode buffer, guarded by writeMu
-	start    time.Time
-	nextXid  uint32
-	tickT    *time.Timer
-	echoT    *time.Timer
-	echoGen  uint64 // invalidates in-flight echo timer fires on Close/reconnect
-	lastEcho time.Time
-	disc     bool // OnDisconnect already fired for this connection
+	mu      sync.Mutex
+	dp      *Datapath
+	conn    net.Conn
+	addr    string // last Connect target, for automatic redial
+	writeMu sync.Mutex
+	writer  *openflow.Writer // per-connection encode buffer, guarded by writeMu
+	start   time.Time
+	nextXid uint32
+	echoT   *time.Timer
+	echoGen uint64 // invalidates in-flight echo timer fires on Close/reconnect
+	disc    bool   // OnDisconnect already fired for this connection
+
+	// The one mechanism/table deadline timer (DESIGN.md §18). While armed,
+	// tickT is pending for armedAt (agent clock), which is at or before every
+	// deadline the mechanism and the table hold: a wake-up may come early,
+	// never late. tickT is created by the first arm and only Reset after.
+	tickT   *time.Timer
+	armed   bool
+	armedAt time.Duration
+	timers  TimerStats
+
+	// lastEcho is the agent-clock instant of the last inbound message; the
+	// read loop stores it per message without taking mu.
+	lastEcho atomic.Int64
 
 	transmit func(port uint16, frame []byte)
 
@@ -197,6 +209,26 @@ func (a *Agent) Stats() (rxFrames, rxBytes, txFrames, txBytes, misses uint64) {
 	return a.dp.Stats()
 }
 
+// TimerStats counts the work of the agent's deadline timer. A workload whose
+// EarlyTicks approach its Ticks is waking for rules that were hit since the
+// timer was set; one whose Rearms approach its frame count is re-arming on
+// the data path, which a table hit must never do.
+type TimerStats struct {
+	// Ticks is the number of timer fires handled.
+	Ticks uint64
+	// EarlyTicks is the fires that found nothing due and only re-armed.
+	EarlyTicks uint64
+	// Rearms is the number of times the timer was set.
+	Rearms uint64
+}
+
+// TimerStats reports the deadline timer's counters, safely.
+func (a *Agent) TimerStats() TimerStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.timers
+}
+
 // ControlDown reports whether the datapath is currently in its fail mode,
 // safely.
 func (a *Agent) ControlDown() bool {
@@ -231,7 +263,7 @@ func (a *Agent) Connect(addr string) error {
 	a.addr = addr
 	a.writer = openflow.NewWriter(conn)
 	a.disc = false
-	a.lastEcho = time.Now()
+	a.lastEcho.Store(int64(a.now()))
 	a.echoGen++ // invalidate probes armed for the previous connection
 	a.mu.Unlock()
 
@@ -269,8 +301,8 @@ func (a *Agent) armEchoLocked() {
 func (a *Agent) echoProbe(gen uint64) {
 	a.mu.Lock()
 	stale := a.closed || gen != a.echoGen
-	dead := time.Since(a.lastEcho) > 2*a.echoInterval
 	a.mu.Unlock()
+	dead := a.now()-time.Duration(a.lastEcho.Load()) > 2*a.echoInterval
 	if stale {
 		return
 	}
@@ -378,6 +410,12 @@ func (a *Agent) send(m openflow.Message, xid uint32) error {
 	a.mu.Lock()
 	w, conn := a.writer, a.conn
 	a.mu.Unlock()
+	return a.write(w, conn, m, xid)
+}
+
+// write sends on a connection the caller read from a.writer and a.conn in a
+// section of a.mu it was holding anyway. Callers must NOT hold a.mu.
+func (a *Agent) write(w *openflow.Writer, conn net.Conn, m openflow.Message, xid uint32) error {
 	if w == nil {
 		return fmt.Errorf("switchd: not connected")
 	}
@@ -409,9 +447,7 @@ func (a *Agent) readLoop(conn net.Conn) {
 			a.reportDisconnect(fmt.Errorf("switchd: control read: %w", err))
 			return
 		}
-		a.mu.Lock()
-		a.lastEcho = time.Now() // any inbound traffic proves liveness
-		a.mu.Unlock()
+		a.lastEcho.Store(int64(a.now())) // any inbound traffic proves liveness
 		if err := a.dispatch(m, xid); err != nil {
 			a.logf("switch: handling %v: %v", m.Type(), err)
 		}
@@ -486,7 +522,11 @@ func (a *Agent) control(xid uint32, f func(now time.Duration) (*ControlResult, e
 			}
 		}
 	}
+	// An installed rule or a release can bring a deadline forward, and it has
+	// happened whether or not the replies below get out: arm for it here.
+	a.armEarliestLocked()
 	tx := a.transmit
+	w, conn := a.writer, a.conn
 	a.mu.Unlock()
 	if err != nil {
 		return err
@@ -497,16 +537,13 @@ func (a *Agent) control(xid uint32, f func(now time.Duration) (*ControlResult, e
 		}
 	}
 	for _, fr := range removed {
-		if err := a.send(fr, xid); err != nil {
+		if err := a.write(w, conn, fr, xid); err != nil {
 			return err
 		}
 	}
 	if reply != nil {
-		if err := a.send(reply, xid); err != nil {
-			return err
-		}
+		return a.write(w, conn, reply, xid)
 	}
-	a.rearmTick()
 	return nil
 }
 
@@ -556,28 +593,41 @@ func (a *Agent) InjectFrame(inPort uint16, frame []byte) error {
 		return fmt.Errorf("switchd: agent closed")
 	}
 	res, err := a.dp.HandleFrame(a.now(), inPort, frame)
+	if err != nil {
+		a.mu.Unlock()
+		return err
+	}
 	tx := a.transmit
 	// The FrameResult is datapath-owned scratch, valid only under the lock
 	// (a concurrent InjectFrame would overwrite it); copy what outlives it.
-	var outs []Output
+	// Only a flood has more outputs than the array holds.
+	var few [4]Output
+	outs := append(few[:0], res.Outputs...)
 	var pi *openflow.PacketIn
-	if err == nil {
-		outs = append(outs, res.Outputs...)
-		if res.Miss != nil {
+	var xid uint32
+	var w *openflow.Writer
+	var conn net.Conn
+	if res.Matched == nil {
+		// A miss can hand the mechanism a new deadline. A hit cannot: it only
+		// moves the matched rule's idle deadline later, which leaves the armed
+		// timer a valid, early wake-up — the hit path does no timer work.
+		if next, ok := a.dp.Mechanism().NextDeadline(); ok {
+			a.armLocked(next)
+		}
+		if res.Miss != nil && res.Miss.PacketIn != nil {
 			pi = res.Miss.PacketIn
+			a.nextXid++
+			xid, w, conn = a.nextXid, a.writer, a.conn
 		}
 	}
 	a.mu.Unlock()
-	if err != nil {
-		return err
-	}
 	for _, o := range outs {
 		if tx != nil {
 			tx(o.Port, o.Frame)
 		}
 	}
 	if pi != nil {
-		if err := a.send(pi, a.xid()); err != nil {
+		if err := a.write(w, conn, pi, xid); err != nil {
 			// A dead control channel loses packet_ins but must not fail the
 			// data plane: the fail mode decided what happened to the frame,
 			// and for buffered misses the re-request timer retries after
@@ -585,7 +635,6 @@ func (a *Agent) InjectFrame(inPort uint16, frame []byte) error {
 			a.logf("switch: packet_in lost (control channel down): %v", err)
 		}
 	}
-	a.rearmTick()
 	return nil
 }
 
@@ -632,51 +681,68 @@ func (a *Agent) SetPortDown(port uint16, down bool) error {
 	return nil
 }
 
-// rearmTick schedules the next mechanism/table timer against the wall
-// clock. Callers must NOT hold a.mu.
-func (a *Agent) rearmTick() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rearmTickLocked()
-}
-
-func (a *Agent) rearmTickLocked() {
-	if a.closed {
+// armLocked makes sure the timer fires no later than deadline (agent clock).
+// A timer already armed at or before it does; only an earlier deadline, or
+// none armed, touches the timer. Callers hold a.mu.
+func (a *Agent) armLocked(deadline time.Duration) {
+	if a.closed || a.armed && a.armedAt <= deadline {
 		return
 	}
+	delay := max(deadline-a.now(), 0)
+	if a.tickT == nil {
+		a.tickT = time.AfterFunc(delay, a.tick)
+	} else {
+		a.tickT.Reset(delay)
+	}
+	a.armed, a.armedAt = true, deadline
+	a.timers.Rearms++
+}
+
+// armEarliestLocked arms for the exact earliest deadline the mechanism and
+// the flow table hold, if any. Callers hold a.mu.
+func (a *Agent) armEarliestLocked() {
+	if next, ok := a.earliestLocked(); ok {
+		a.armLocked(next)
+	}
+}
+
+func (a *Agent) earliestLocked() (time.Duration, bool) {
 	next, ok := a.dp.Mechanism().NextDeadline()
 	if exp, expOK := a.dp.Table().NextExpiry(); expOK && (!ok || exp < next) {
 		next, ok = exp, true
 	}
-	if a.tickT != nil {
-		a.tickT.Stop()
-		a.tickT = nil
-	}
-	if !ok {
-		return
-	}
-	delay := next - a.now()
-	if delay < 0 {
-		delay = 0
-	}
-	a.tickT = time.AfterFunc(delay, a.tick)
+	return next, ok
 }
 
+// tick is the timer's fire: run what is due, then re-arm from the exact next
+// deadline. A fire that finds nothing due — the rule it was set for has been
+// hit since, or a Reset raced it — only re-arms.
 func (a *Agent) tick() {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return
 	}
+	a.armed = false
+	a.timers.Ticks++
 	now := a.now()
-	resend := a.dp.Mechanism().Tick(now)
+	var resend []*openflow.PacketIn
 	var removed []*openflow.FlowRemoved
-	for _, r := range a.dp.ExpireRules(now) {
-		if fr := a.dp.FlowRemovedFor(r); fr != nil {
-			removed = append(removed, fr)
+	next, ok := a.earliestLocked()
+	if ok && next <= now {
+		resend = a.dp.Mechanism().Tick(now)
+		for _, r := range a.dp.ExpireRules(now) {
+			if fr := a.dp.FlowRemovedFor(r); fr != nil {
+				removed = append(removed, fr)
+			}
 		}
+		next, ok = a.earliestLocked()
+	} else {
+		a.timers.EarlyTicks++
 	}
-	a.rearmTickLocked()
+	if ok {
+		a.armLocked(next)
+	}
 	a.mu.Unlock()
 	for _, pi := range resend {
 		if err := a.send(pi, a.xid()); err != nil {
@@ -702,7 +768,7 @@ func (a *Agent) Close() error {
 	a.writer = nil
 	if a.tickT != nil {
 		a.tickT.Stop()
-		a.tickT = nil
+		a.armed = false
 	}
 	if a.echoT != nil {
 		a.echoT.Stop()

@@ -2,6 +2,7 @@ package switchd_test
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -215,34 +216,94 @@ func TestAgentVendorStatsAndReconfigureRefusal(t *testing.T) {
 	}
 }
 
+// TestAgentIdleTimeoutFlowRemovedOverTCP drives the agent's one deadline
+// timer with two 1 s idle rules: the one left alone is removed, and its
+// flow_removed sent, within a timer resolution of its deadline; the one that
+// keeps being hit is never expired, costs the hit path no timer work, and
+// goes — again on time — once the hits stop.
 func TestAgentIdleTimeoutFlowRemovedOverTCP(t *testing.T) {
+	t.Parallel()
+	// How late after its deadline a removal may be reported: the sandbox's
+	// timers resolve to about 1 ms, a loaded runner under -race needs more.
+	const slack = 500 * time.Millisecond
 	rc, agent := newRawPair(t, switchd.Config{DatapathID: 1, NumPorts: 2})
-	agent.SetTransmit(func(uint16, []byte) {})
+	var egressed atomic.Int64
+	agent.SetTransmit(func(uint16, []byte) { egressed.Add(1) })
 
-	frame := liveFrame(t, "10.1.0.9", 9000)
-	if err := agent.InjectFrame(1, frame); err != nil {
-		t.Fatal(err)
+	hot, idle := liveFrame(t, "10.1.0.9", 9000), liveFrame(t, "10.1.0.10", 9000)
+	before := time.Now()
+	for _, frame := range [][]byte{hot, idle} {
+		rc.send(&openflow.FlowMod{
+			Match:       mustExact(t, frame),
+			Command:     openflow.FlowModAdd,
+			Priority:    100,
+			IdleTimeout: 1,
+			BufferID:    openflow.NoBuffer,
+			Flags:       openflow.FlowModFlagSendFlowRem,
+			Actions:     []openflow.Action{&openflow.ActionOutput{Port: 2}},
+		}, 1)
 	}
-	pi, xid := rc.readType(openflow.TypePacketIn)
-	parsed := pi.(*openflow.PacketIn)
-	fm := &openflow.FlowMod{
-		Match:       mustExact(t, parsed.Data),
-		Command:     openflow.FlowModAdd,
-		Priority:    100,
-		IdleTimeout: 1,
-		BufferID:    openflow.NoBuffer,
-		Flags:       openflow.FlowModFlagSendFlowRem,
-		Actions:     []openflow.Action{&openflow.ActionOutput{Port: 2}},
+	rc.send(&openflow.BarrierRequest{}, 2)
+	rc.readType(openflow.TypeBarrierReply)
+	installed := time.Now() // both rules went in between before and installed
+
+	// Hit the hot rule every 20 ms from another goroutine, remembering when.
+	var hits, lastBefore, lastAfter atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			lastBefore.Store(time.Now().UnixNano())
+			if err := agent.InjectFrame(1, hot); err != nil {
+				t.Errorf("InjectFrame: %v", err)
+				return
+			}
+			lastAfter.Store(time.Now().UnixNano())
+			hits.Add(1)
+			select {
+			case <-stop:
+				return
+			case <-time.After(20 * time.Millisecond):
+			}
+		}
+	}()
+
+	expectRemoved := func(frame []byte, notBefore, notAfter time.Time) {
+		t.Helper()
+		m, _ := rc.readType(openflow.TypeFlowRemoved)
+		at := time.Now()
+		fr := m.(*openflow.FlowRemoved)
+		if want := mustExact(t, frame); fr.Reason != openflow.RemovedIdleTimeout || !fr.Match.Equal(&want) {
+			t.Errorf("flow_removed reason %d for %v, want idle timeout of %v", fr.Reason, fr.Match.NWSrc, want.NWSrc)
+		}
+		if at.Before(notBefore) || at.After(notAfter) {
+			t.Errorf("flow_removed for %v came %v after the earliest possible instant, window is %v",
+				fr.Match.NWSrc, at.Sub(notBefore), notAfter.Sub(notBefore))
+		}
 	}
-	rc.send(fm, xid)
-	// The rule idles out after ~1 s of no traffic; the agent's wall-clock
-	// tick must emit flow_removed.
-	m, _ := rc.readType(openflow.TypeFlowRemoved)
-	if got := m.(*openflow.FlowRemoved).Reason; got != openflow.RemovedIdleTimeout {
-		t.Errorf("reason = %d, want idle timeout", got)
+	expectRemoved(idle, before.Add(time.Second), installed.Add(time.Second+slack))
+	if n := agent.TableLen(); n != 1 {
+		t.Errorf("table holds %d rules with the hot one still hit, want 1", n)
 	}
-	if agent.TableLen() != 0 {
-		t.Errorf("table len = %d after expiry", agent.TableLen())
+	// Let a few more hits land after that tick, then stop: the tick armed for
+	// the hot rule's old deadline must find it not due and only re-arm.
+	time.Sleep(100 * time.Millisecond)
+	close(stop)
+	<-stopped
+	expectRemoved(hot, time.Unix(0, lastBefore.Load()).Add(time.Second), time.Unix(0, lastAfter.Load()).Add(time.Second+slack))
+	if n := agent.TableLen(); n != 0 {
+		t.Errorf("table holds %d rules after both idled out", n)
+	}
+	if got, want := egressed.Load(), hits.Load(); got != want {
+		t.Errorf("%d of %d hits egressed", got, want)
+	}
+	ts := agent.TimerStats()
+	if ts.EarlyTicks == 0 {
+		t.Errorf("no tick found the hot rule hit since it was armed: %+v", ts)
+	}
+	// One arm for the first rule, then at most one per tick — none per hit.
+	if ts.Rearms > ts.Ticks+1 {
+		t.Errorf("%d hits, timer counters %+v: more re-arms than ticks", hits.Load(), ts)
 	}
 }
 

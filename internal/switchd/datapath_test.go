@@ -11,7 +11,7 @@ import (
 	"sdnbuffer/internal/packet"
 )
 
-func testFrame(t *testing.T, srcIP string, srcPort uint16, payload int) []byte {
+func testFrame(t testing.TB, srcIP string, srcPort uint16, payload int) []byte {
 	t.Helper()
 	f := &packet.Frame{
 		SrcMAC:    packet.MAC{2, 0, 0, 0, 0, 1},

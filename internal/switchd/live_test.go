@@ -180,6 +180,58 @@ func TestLiveFlowGranularityBurst(t *testing.T) {
 	}
 }
 
+// TestLiveConcurrentInjectAgainstReadLoop runs several injecting goroutines
+// against the agent's read loop: misses arm the deadline timer from the
+// injecting side while flow_mods and releases arm it from the control side,
+// on a table small enough to evict. Run under -race; every frame must come
+// out, and the timer must have been set at most once per miss, control
+// message and tick — never per hit.
+func TestLiveConcurrentInjectAgainstReadLoop(t *testing.T) {
+	buf := &openflow.FlowBufferConfig{Granularity: openflow.GranularityFlow, RerequestTimeoutMs: 1000}
+	lt := newLiveTestbed(t, buf, switchd.Config{
+		// A unit for every flow: a miss that found the pool empty would ride
+		// in its packet_in, and the server may shed the packet_out that
+		// carries it back, which nothing retries.
+		DatapathID: 1, NumPorts: 2, TableCapacity: 16, BufferCapacity: 256,
+	})
+	deadline := time.Now().Add(5 * time.Second)
+	for lt.agent.BufferGranularity() != openflow.GranularityFlow {
+		if time.Now().After(deadline) {
+			t.Fatal("buffer reconfiguration never applied")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	const injectors, flows, framesPerFlow = 4, 40, 4
+	var wg sync.WaitGroup
+	for g := 0; g < injectors; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for f := 0; f < flows; f++ {
+				frame := liveFrame(t, "10.1.0.1", uint16(1000+g*flows+f))
+				for i := 0; i < framesPerFlow; i++ {
+					if err := lt.agent.InjectFrame(1, frame); err != nil {
+						t.Errorf("InjectFrame: %v", err)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const total = injectors * flows * framesPerFlow
+	lt.waitFrames(total, 10*time.Second)
+	if got := lt.countOn(2); got != total {
+		t.Fatalf("frames on port 2 = %d, want %d (server: %+v)", got, total, lt.server.Stats())
+	}
+	_, _, _, _, misses := lt.agent.Stats()
+	ts := lt.agent.TimerStats()
+	// Two control messages (flow_mod, packet_out) answer each packet_in.
+	if ts.Rearms > 3*misses+ts.Ticks {
+		t.Errorf("%d frames, %d misses: timer counters %+v", total, misses, ts)
+	}
+}
+
 func TestLiveEchoKeepsConnectionAlive(t *testing.T) {
 	lt := newLiveTestbed(t, nil, switchd.Config{DatapathID: 1, NumPorts: 2})
 	// Exercise the path indirectly: inject a frame after an idle period and
