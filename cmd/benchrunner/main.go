@@ -20,9 +20,6 @@
 //	benchrunner -csv results.csv        # also write CSV rows
 //	benchrunner -repeats 20             # the paper's repetition count
 //	benchrunner -parallel 1             # serial sweep (same output bytes)
-//	benchrunner -kernelworkers 8        # parallel simulation kernel inside each
-//	                                    # fabric/survivability/tablemgmt run
-//	                                    # (same output bytes)
 //	benchrunner -cpuprofile cpu.pprof   # profile the sweep's hot spots
 //	benchrunner -memprofile mem.pprof   # heap profile after the sweep
 package main
@@ -66,8 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plot     = fs.Bool("plot", false, "render an ASCII chart per figure")
 		parallel = fs.Int("parallel", runtime.GOMAXPROCS(0),
 			"sweep worker goroutines; results are identical at any setting (1 = serial)")
-		kernelWorkers = fs.Int("kernelworkers", 1,
-			"goroutines inside each fabric simulation (conservative parallel kernel) of the fabric, survivability and tablemgmt scenarios; results are identical at any setting (1 = serial kernel)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile (after the sweep) to this file")
 	)
@@ -145,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *scenario != "" {
-		return runScenario(*scenario, *quick, *repeats, *parallel, *kernelWorkers, csv, stdout, stderr)
+		return runScenario(*scenario, *quick, *repeats, *parallel, csv, stdout, stderr)
 	}
 
 	all := experiments.All()
@@ -208,13 +203,12 @@ type report interface {
 }
 
 // scenarios are the -scenario sweeps, in usage order. run gets -quick,
-// -repeats, -parallel and -kernelworkers; only the fabric-based sweeps
-// (fabric, survivability, tablemgmt) use the last.
+// -repeats and -parallel.
 var scenarios = []struct {
 	name string
-	run  func(quick bool, repeats, parallel, kernelWorkers int) (report, error)
+	run  func(quick bool, repeats, parallel int) (report, error)
 }{
-	{"resilience", func(quick bool, repeats, parallel, _ int) (report, error) {
+	{"resilience", func(quick bool, repeats, parallel int) (report, error) {
 		opts := experiments.ResilienceOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -222,7 +216,7 @@ var scenarios = []struct {
 		}
 		return experiments.RunResilience(opts)
 	}},
-	{"outage", func(quick bool, _, _, _ int) (report, error) {
+	{"outage", func(quick bool, _, _ int) (report, error) {
 		opts := experiments.OutageOptions{}
 		if quick {
 			opts.Flows, opts.PktsPerFlow, opts.Group = 20, 10, 5
@@ -230,7 +224,7 @@ var scenarios = []struct {
 		}
 		return experiments.RunOutage(opts)
 	}},
-	{"delay-decomp", func(quick bool, repeats, parallel, _ int) (report, error) {
+	{"delay-decomp", func(quick bool, repeats, parallel int) (report, error) {
 		opts := experiments.DelayDecompOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -238,7 +232,7 @@ var scenarios = []struct {
 		}
 		return experiments.RunDelayDecomp(opts)
 	}},
-	{"overload", func(quick bool, repeats, parallel, _ int) (report, error) {
+	{"overload", func(quick bool, repeats, parallel int) (report, error) {
 		opts := experiments.OverloadOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -247,8 +241,8 @@ var scenarios = []struct {
 		}
 		return experiments.RunOverload(opts)
 	}},
-	{"fabric", func(quick bool, repeats, parallel, kernelWorkers int) (report, error) {
-		opts := experiments.FabricOptions{Repeats: repeats, Parallelism: parallel, KernelWorkers: kernelWorkers}
+	{"fabric", func(quick bool, repeats, parallel int) (report, error) {
+		opts := experiments.FabricOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
 			opts.Topos = []string{"line:2", "leafspine:leaves=2,spines=1"}
@@ -258,8 +252,8 @@ var scenarios = []struct {
 		}
 		return experiments.RunFabric(opts)
 	}},
-	{"survivability", func(quick bool, repeats, parallel, kernelWorkers int) (report, error) {
-		opts := experiments.SurvivabilityOptions{Repeats: repeats, Parallelism: parallel, KernelWorkers: kernelWorkers}
+	{"survivability", func(quick bool, repeats, parallel int) (report, error) {
+		opts := experiments.SurvivabilityOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
 			opts.Topos = []string{"leafspine:leaves=2,spines=2"}
@@ -267,8 +261,8 @@ var scenarios = []struct {
 		}
 		return experiments.RunSurvivability(opts)
 	}},
-	{"tablemgmt", func(quick bool, repeats, parallel, kernelWorkers int) (report, error) {
-		opts := experiments.TableMgmtOptions{Repeats: repeats, Parallelism: parallel, KernelWorkers: kernelWorkers}
+	{"tablemgmt", func(quick bool, repeats, parallel int) (report, error) {
+		opts := experiments.TableMgmtOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
 			opts.Capacities = []int{8}
@@ -289,13 +283,13 @@ func scenarioNames(sep string) string {
 }
 
 // runScenario runs one named scenario, prints its table and writes its CSV.
-func runScenario(name string, quick bool, repeats, parallel, kernelWorkers int, csv *os.File, stdout, stderr io.Writer) int {
+func runScenario(name string, quick bool, repeats, parallel int, csv *os.File, stdout, stderr io.Writer) int {
 	for _, sc := range scenarios {
 		if sc.name != name {
 			continue
 		}
 		start := time.Now()
-		res, err := sc.run(quick, repeats, parallel, kernelWorkers)
+		res, err := sc.run(quick, repeats, parallel)
 		if err != nil {
 			fmt.Fprintf(stderr, "benchrunner: %s: %v\n", name, err)
 			return 1

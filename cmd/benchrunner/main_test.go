@@ -124,18 +124,6 @@ func TestScenarioCSVDeterminism(t *testing.T) {
 	}
 }
 
-// TestFabricScenarioKernelWorkers pins the other parallelism axis: the
-// fabric CSV must be byte-identical whether each cell simulates on the
-// serial kernel or on 8 parallel-kernel workers (the CI
-// sweep-determinism gate runs the same comparison on the full grid).
-func TestFabricScenarioKernelWorkers(t *testing.T) {
-	serial := runScenarioCSV(t, "fabric", "-kernelworkers", "1")
-	parallel := runScenarioCSV(t, "fabric", "-kernelworkers", "8")
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("fabric CSV differs at kernelworkers 1 vs 8:\n%s\nvs\n%s", serial, parallel)
-	}
-}
-
 // TestTraceExport drives -trace/-flowcsv and checks both artifacts parse.
 func TestTraceExport(t *testing.T) {
 	dir := t.TempDir()

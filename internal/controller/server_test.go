@@ -514,9 +514,15 @@ func (l *pipeListener) Addr() net.Addr {
 // dial hands the server one end of a pipe and returns the peer end.
 func (l *pipeListener) dial(t *testing.T) net.Conn {
 	t.Helper()
+	return l.dialWrapped(t, func(c net.Conn) net.Conn { return c })
+}
+
+// dialWrapped is dial with the server's end of the pipe passed through wrap.
+func (l *pipeListener) dialWrapped(t *testing.T, wrap func(net.Conn) net.Conn) net.Conn {
+	t.Helper()
 	server, client := net.Pipe()
 	select {
-	case l.conns <- server:
+	case l.conns <- wrap(server):
 	case <-time.After(5 * time.Second):
 		t.Fatal("accept loop never picked up the pipe conn")
 	}
@@ -608,20 +614,30 @@ func TestServerWedgedPeerReadsStillHandled(t *testing.T) {
 	}
 }
 
+// writeDeadlineDeafConn ignores write deadlines: a blocked write returns
+// only when the conn is closed.
+type writeDeadlineDeafConn struct{ net.Conn }
+
+func (c writeDeadlineDeafConn) SetWriteDeadline(time.Time) error { return nil }
+
 // TestServerStallEvictsOnFlowMod pins the other half of the slow-consumer
 // policy: flow_mods are never shed — when the queue cannot take one within
-// StallTimeout, the connection is evicted instead.
+// StallTimeout, the connection is evicted instead. The writer's flush
+// deadline is also StallTimeout; the server's pipe end ignores write
+// deadlines so that only the enqueue stall timer can evict.
 func TestServerStallEvictsOnFlowMod(t *testing.T) {
 	srv, ln := startPipeServer(t, ServerConfig{
 		WriteQueue:   2,
 		StallTimeout: 50 * time.Millisecond,
 	})
-	conn := ln.dial(t)
+	conn := ln.dialWrapped(t, func(c net.Conn) net.Conn { return writeDeadlineDeafConn{c} })
 	pipeHandshake(t, conn, 1)
-	// Wedge and push packet_ins; the first undeliverable flow_mod must
-	// evict within ~StallTimeout.
+	// Wedge and push packet_ins until the server hangs up. The writer's
+	// first batch can absorb up to 64 replies before its flush blocks for
+	// good; after that the queue fills, and the first flow_mod that cannot
+	// be enqueued must evict within ~StallTimeout.
 	pi := testPacketIn(t, openflow.NoBuffer, 256)
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 200; i++ {
 		_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 		if err := openflow.WriteMessage(conn, pi, uint32(10+i)); err != nil {
 			break

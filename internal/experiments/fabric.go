@@ -44,12 +44,6 @@ type FabricOptions struct {
 	// Results fold in a fixed order, so output is byte-identical at any
 	// setting.
 	Parallelism int
-	// KernelWorkers > 1 runs each fabric cell on the conservative parallel
-	// kernel with up to that many goroutines executing event windows
-	// (default 0/1 = the serial kernel). Orthogonal to Parallelism: that
-	// fans independent cells out, this speeds a single big fabric up. Every
-	// cell's metrics — and hence the CSV — are byte-identical either way.
-	KernelWorkers int
 }
 
 func (o FabricOptions) withDefaults() FabricOptions {
@@ -158,10 +152,9 @@ func runFabricCell(j fabricJob, opts FabricOptions) (fabricCell, error) {
 	cfg := testbed.DefaultConfig(j.series.Buffer, j.series.BufferCapacity)
 	cfg.Seed = j.seed
 	fb, err := testbed.NewFabric(cfg, testbed.FabricOptions{
-		Graph:         g,
-		Shards:        j.shards,
-		Install:       j.install,
-		KernelWorkers: opts.KernelWorkers,
+		Graph:   g,
+		Shards:  j.shards,
+		Install: j.install,
 	})
 	if err != nil {
 		return fabricCell{}, err

@@ -56,11 +56,6 @@ type SurvivabilityOptions struct {
 	// Results fold in a fixed order, so output is byte-identical at any
 	// setting.
 	Parallelism int
-	// KernelWorkers > 1 runs each cell on the conservative parallel kernel
-	// (default 0/1 = serial). Failure events are scheduled one per owning
-	// domain in both modes, so every cell's metrics — and hence the CSV —
-	// are byte-identical at any setting.
-	KernelWorkers int
 }
 
 func (o SurvivabilityOptions) withDefaults() SurvivabilityOptions {
@@ -216,11 +211,10 @@ func runSurvivabilityCell(j survivabilityJob, opts SurvivabilityOptions) (surviv
 	cfg := testbed.DefaultConfig(j.series.Buffer, j.series.BufferCapacity)
 	cfg.Seed = j.seed
 	fb, err := testbed.NewFabric(cfg, testbed.FabricOptions{
-		Graph:         g,
-		Shards:        j.shards,
-		Install:       j.install,
-		KernelWorkers: opts.KernelWorkers,
-		Failures:      plan,
+		Graph:    g,
+		Shards:   j.shards,
+		Install:  j.install,
+		Failures: plan,
 	})
 	if err != nil {
 		return survivabilityCell{}, err
@@ -274,8 +268,7 @@ type survivabilityJob struct {
 // RunSurvivability executes the survivability sweep, fanning the (topo,
 // scenario, mechanism, install, shards, repeat) grid across Parallelism
 // workers and folding the per-cell metrics in a fixed order: the result
-// (and hence the CSV) is byte-identical at any Parallelism and any
-// KernelWorkers setting.
+// (and hence the CSV) is byte-identical at any Parallelism.
 func RunSurvivability(opts SurvivabilityOptions) (*SurvivabilitySweepResult, error) {
 	opts = opts.withDefaults()
 	var jobs []survivabilityJob

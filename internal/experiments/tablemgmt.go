@@ -51,9 +51,6 @@ type TableMgmtOptions struct {
 	// Results fold in a fixed order, so output is byte-identical at any
 	// setting.
 	Parallelism int
-	// KernelWorkers > 1 runs each cell on the conservative parallel kernel
-	// (default 0/1 = serial); the CSV is byte-identical at any setting.
-	KernelWorkers int
 }
 
 func (o TableMgmtOptions) withDefaults() TableMgmtOptions {
@@ -189,11 +186,7 @@ func runTableMgmtCell(j tableMgmtJob, opts TableMgmtOptions) (tableMgmtCell, err
 	cfg.Switch.Datapath.TableCapacity = j.capacity
 	cfg.Switch.Datapath.EvictionPolicy = j.policy
 	cfg.Switch.Datapath.TableLadder = true // no-op unless the series runs a Ladder
-	fopts := testbed.FabricOptions{
-		Graph:         g,
-		Install:       topo.InstallHopByHop,
-		KernelWorkers: opts.KernelWorkers,
-	}
+	fopts := testbed.FabricOptions{Graph: g, Install: topo.InstallHopByHop}
 	if j.agg {
 		fopts.TableMgmt = &tablemgmt.Config{
 			TableCapacity:      j.capacity,
@@ -247,8 +240,7 @@ type tableMgmtJob struct {
 // RunTableMgmt executes the table-management sweep, fanning the (topo,
 // capacity, policy, aggregation, mechanism, repeat) grid across Parallelism
 // workers and folding the per-cell metrics in a fixed order: the result
-// (and hence the CSV) is byte-identical at any Parallelism and any
-// KernelWorkers setting.
+// (and hence the CSV) is byte-identical at any Parallelism.
 func RunTableMgmt(opts TableMgmtOptions) (*TableMgmtSweepResult, error) {
 	opts = opts.withDefaults()
 	var jobs []tableMgmtJob

@@ -81,8 +81,7 @@ func TestTableMgmtSweep(t *testing.T) {
 }
 
 // TestTableMgmtDeterministic pins the sweep's reproducibility contract: the
-// CSV is byte-identical when the grid fans across workers and when each
-// cell runs on the parallel kernel.
+// CSV is byte-identical when the grid fans across workers.
 func TestTableMgmtDeterministic(t *testing.T) {
 	base := tableMgmtTestOptions()
 	base.Parallelism = 1
@@ -95,13 +94,6 @@ func TestTableMgmtDeterministic(t *testing.T) {
 	fanned.Parallelism = 4
 	if got := tableMgmtCSV(t, fanned); got != want {
 		t.Errorf("parallel sweep CSV differs:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
-	}
-
-	parKernel := tableMgmtTestOptions()
-	parKernel.Parallelism = 1
-	parKernel.KernelWorkers = 4
-	if got := tableMgmtCSV(t, parKernel); got != want {
-		t.Errorf("parallel-kernel sweep CSV differs:\n--- serial ---\n%s--- kernelworkers=4 ---\n%s", want, got)
 	}
 }
 

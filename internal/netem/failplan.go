@@ -1,8 +1,7 @@
 // Failure plans: a declarative schedule of data-plane faults — link-down
 // windows and switch crash windows — applied to a fabric run. The plan is a
-// pure description; the testbed translates it into kernel events (one per
-// affected simulation domain, symmetric in serial and parallel mode, so a
-// run is byte-identical at any worker count — DESIGN.md §16).
+// pure description; the testbed translates it into kernel events, one per
+// affected switch (DESIGN.md §16).
 //
 // Plans are spec-parseable so sweeps and command lines can name them:
 //

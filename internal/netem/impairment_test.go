@@ -115,6 +115,59 @@ func TestOutageWindowDropsEverything(t *testing.T) {
 	}
 }
 
+// TestOutageWindowsDropExactlyInWindowSends drives a duplex pair whose
+// forward direction carries two outage windows: one payload per millisecond
+// goes out, and every delivery is echoed back. Exactly the payloads
+// enqueued inside a window vanish with an OutageDropped count; everything
+// else arrives no earlier than send time plus propagation and is echoed.
+func TestOutageWindowsDropExactlyInWindowSends(t *testing.T) {
+	const prop = time.Millisecond
+	k := sim.New(42)
+	fwd := mustLink(t, k, 100, prop)
+	back := mustLink(t, k, 100, prop)
+	if err := fwd.SetImpairment(Impairment{Outages: []Window{
+		{Start: 3 * time.Millisecond, End: 6 * time.Millisecond},
+		{Start: 11 * time.Millisecond, End: 13 * time.Millisecond},
+	}}); err != nil {
+		t.Fatalf("SetImpairment: %v", err)
+	}
+	delivered := make(map[int]time.Duration)
+	echoed := make(map[int]bool)
+	const n = 20
+	for i := 0; i < n; i++ {
+		i := i
+		payload := make([]byte, 200+i)
+		k.At(time.Duration(i)*time.Millisecond, func() {
+			fwd.Send(payload, func() {
+				delivered[i] = k.Now()
+				back.Send(payload, func() { echoed[i] = true })
+			})
+		})
+	}
+	k.Run()
+
+	// Sends at 3,4,5 ms and 11,12 ms enqueue inside the windows.
+	wantDropped := map[int]bool{3: true, 4: true, 5: true, 11: true, 12: true}
+	if got := int(fwd.Faults().OutageDropped); got != len(wantDropped) {
+		t.Fatalf("OutageDropped = %d, want %d", got, len(wantDropped))
+	}
+	if f := back.Faults(); f.OutageDropped != 0 {
+		t.Errorf("unimpaired echo link dropped %d", f.OutageDropped)
+	}
+	for i := 0; i < n; i++ {
+		at, ok := delivered[i]
+		if wantDropped[i] == ok {
+			t.Errorf("payload %d: delivered=%v, in-window=%v", i, ok, wantDropped[i])
+		}
+		if echoed[i] != ok {
+			t.Errorf("payload %d: delivered=%v but echoed=%v", i, ok, echoed[i])
+		}
+		if min := time.Duration(i)*time.Millisecond + prop; ok && at < min {
+			t.Errorf("payload %d delivered at %v, before %v", i, at, min)
+		}
+	}
+}
+
 func TestQueueCapDropTail(t *testing.T) {
 	k := sim.New(1)
 	l := mustLink(t, k, 100, 0) // 1000 bytes serialize in 80µs

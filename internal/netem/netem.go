@@ -165,8 +165,6 @@ type Link struct {
 	imp         Impairment
 	geBad       bool // Gilbert–Elliott channel state
 
-	remote func(t time.Duration, fn func()) // cross-domain arrival scheduler
-
 	busyUntil  time.Duration
 	taps       []Tap
 	traffic    metrics.Counter
@@ -205,18 +203,6 @@ func (l *Link) BandwidthMbps() float64 { return l.bitsPerSec / 1e6 }
 
 // AddTap registers an observer for every payload entering the link.
 func (l *Link) AddTap(t Tap) { l.taps = append(l.taps, t) }
-
-// SetRemote marks the link as crossing a parallel-kernel domain boundary:
-// arrival events are scheduled through the given cross-domain scheduler
-// (sim.ParKernel.Post curried with the endpoints) instead of the sender's
-// local kernel, so the deliver callback runs on the receiving domain. The
-// link's propagation delay must be at least the parallel kernel's lookahead
-// — that is precisely what makes link latency the natural lookahead bound.
-//
-// Send-side state (queue, counters, RNG draws) stays on the sending domain;
-// the only thing a remote link gives up is the in-flight gauge, which would
-// otherwise be written by both domains (MeanInFlight reports 0).
-func (l *Link) SetRemote(schedule func(t time.Duration, fn func())) { l.remote = schedule }
 
 // SetLossRate makes the link drop each payload independently with the given
 // probability, drawn from the kernel's deterministic RNG. Dropped payloads
@@ -383,22 +369,6 @@ func (l *Link) Send(payload []byte, deliver func()) {
 	}
 
 	arrival := done + l.propagation + extra
-	if l.remote != nil {
-		l.remote(arrival, func() {
-			if !lost && deliver != nil {
-				deliver()
-			}
-		})
-		if duplicate {
-			l.duplicated.Inc(len(payload))
-			l.remote(arrival+l.imp.DuplicateDelay, func() {
-				if deliver != nil {
-					deliver()
-				}
-			})
-		}
-		return
-	}
 	l.inFlight.Add(now, 1)
 	l.kernel.At(arrival, func() {
 		l.inFlight.Add(l.kernel.Now(), -1)

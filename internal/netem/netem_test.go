@@ -99,7 +99,7 @@ func TestUtilizationPercent(t *testing.T) {
 	l := mustLink(t, k, 100, 0)
 	// 12.5 MB over 1s at 100 Mbps = 100% utilization.
 	l.Send(make([]byte, 12_500_000), nil)
-	k.RunUntil(time.Second)
+	k.Run()
 	got := l.UtilizationPercent(time.Second)
 	if got < 99.9 || got > 100.1 {
 		t.Errorf("UtilizationPercent = %g, want 100", got)
@@ -113,7 +113,7 @@ func TestMeanInFlight(t *testing.T) {
 	k := sim.New(1)
 	l := mustLink(t, k, 100, 0)
 	l.Send(make([]byte, 1000), nil) // 80µs in flight
-	k.RunUntil(160 * time.Microsecond)
+	k.Run()
 	got := l.MeanInFlight(160 * time.Microsecond)
 	if got < 0.49 || got > 0.51 {
 		t.Errorf("MeanInFlight = %g, want 0.5", got)

@@ -184,9 +184,6 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Executed reports how many events have run, a cheap progress/debug signal.
 func (k *Kernel) Executed() uint64 { return k.executed }
 
-// Pending reports how many events are scheduled but not yet executed.
-func (k *Kernel) Pending() int { return len(k.events) }
-
 // acquire takes an Event from the free list (or allocates) and stamps it
 // with a fresh sequence number.
 func (k *Kernel) acquire(t time.Duration, fn func()) *Event {
@@ -263,34 +260,16 @@ func (k *Kernel) Run() {
 	}
 }
 
-// StepN executes up to n earliest pending events and reports how many ran.
-// It is Step batched: one bounds check per event instead of a full
-// call-and-test round trip per event in the caller's loop.
-func (k *Kernel) StepN(n int) int {
-	ran := 0
-	for ran < n && len(k.events) > 0 {
-		e := k.events.pop()
-		k.now = e.at
-		fn := e.fn
-		k.release(e)
-		k.executed++
-		fn()
-		ran++
-	}
-	return ran
-}
-
 // Drain executes pending events until none remain or the clock has reached
 // the deadline. The boundary rule is exactly the testbeds' historical
 //
-//	for k.Pending() > 0 && k.Now() < deadline { k.Step() }
+//	for k.Now() < deadline && k.Step() {}
 //
 // loop, inlined: every event strictly before the deadline runs, plus the
 // single earliest event at or past it (popping it advances the clock past
 // the deadline, which stops the loop). Events beyond that stay pending and
-// the clock is not advanced artificially — unlike RunUntil, which stops
-// *before* executing past-deadline events and then pins the clock to the
-// deadline. TestKernelDrainMatchesStepLoop pins the equivalence.
+// the clock is not advanced to the deadline artificially.
+// TestKernelDrainMatchesStepLoop pins the equivalence.
 func (k *Kernel) Drain(deadline time.Duration) {
 	for len(k.events) > 0 && k.now < deadline {
 		e := k.events.pop()
@@ -301,17 +280,3 @@ func (k *Kernel) Drain(deadline time.Duration) {
 		fn()
 	}
 }
-
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events scheduled after the deadline stay pending.
-func (k *Kernel) RunUntil(deadline time.Duration) {
-	for len(k.events) > 0 && k.events[0].at <= deadline {
-		k.Step()
-	}
-	if k.now < deadline {
-		k.now = deadline
-	}
-}
-
-// RunFor executes events for d of virtual time from the current instant.
-func (k *Kernel) RunFor(d time.Duration) { k.RunUntil(k.now + d) }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -126,36 +127,6 @@ func TestKernelCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEventsPending(t *testing.T) {
-	k := New(1)
-	var fired []int
-	k.At(time.Second, func() { fired = append(fired, 1) })
-	k.At(3*time.Second, func() { fired = append(fired, 3) })
-	k.RunUntil(2 * time.Second)
-	if len(fired) != 1 || fired[0] != 1 {
-		t.Errorf("fired = %v, want [1]", fired)
-	}
-	if k.Now() != 2*time.Second {
-		t.Errorf("Now = %v, want 2s", k.Now())
-	}
-	if k.Pending() != 1 {
-		t.Errorf("Pending = %d, want 1", k.Pending())
-	}
-	k.Run()
-	if len(fired) != 2 {
-		t.Errorf("after Run, fired = %v", fired)
-	}
-}
-
-func TestRunForAdvancesRelative(t *testing.T) {
-	k := New(1)
-	k.RunFor(time.Second)
-	k.RunFor(time.Second)
-	if k.Now() != 2*time.Second {
-		t.Errorf("Now = %v, want 2s", k.Now())
-	}
-}
-
 func TestKernelDeterminismAcrossRuns(t *testing.T) {
 	run := func() []time.Duration {
 		k := New(42)
@@ -229,7 +200,8 @@ func TestResourceUtilizationAccounting(t *testing.T) {
 	k := New(1)
 	r := NewResource(k, "cpu", 1)
 	r.Submit(time.Second, nil)
-	k.RunUntil(2 * time.Second)
+	k.At(2*time.Second, func() {}) // hold the clock open to 2s
+	k.Run()
 	// Busy 1s out of 2s elapsed: 50% of one core.
 	if got := r.UtilizationPercent(); got < 49.9 || got > 50.1 {
 		t.Errorf("UtilizationPercent = %g, want 50", got)
@@ -316,5 +288,75 @@ func TestPropertyKernelClockMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSerialKernelRNGStreamUnchanged pins the kernel's random stream to
+// rand.NewSource(seed): every committed experiment CSV depends on it.
+func TestSerialKernelRNGStreamUnchanged(t *testing.T) {
+	k := New(1)
+	ref := rand.New(rand.NewSource(1))
+	for i := 0; i < 64; i++ {
+		if got, want := k.Rand().Float64(), ref.Float64(); got != want {
+			t.Fatalf("draw %d: kernel stream diverged from rand.NewSource(1): %v != %v", i, got, want)
+		}
+	}
+	// Golden value for Go's source stability (Go 1 compatibility promise).
+	if got, want := New(1).Rand().Float64(), 0.6046602879796196; got != want {
+		t.Fatalf("first draw for seed 1 = %v, want %v", got, want)
+	}
+}
+
+// mix is a tiny deterministic hash for building irregular event cascades.
+func mix(a, b uint64) uint64 {
+	z := a*0x9E3779B97F4A7C15 + b + 1
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	return z ^ z>>31
+}
+
+// TestKernelDrainMatchesStepLoop pins Drain to the manual Step loop it
+// replaced: the same events fire before the deadline, and the same ones are
+// left for a later Run.
+func TestKernelDrainMatchesStepLoop(t *testing.T) {
+	build := func(k *Kernel) *[]time.Duration {
+		var fired []time.Duration
+		var chain func(t time.Duration, depth int) func()
+		chain = func(at time.Duration, depth int) func() {
+			return func() {
+				fired = append(fired, at)
+				if depth > 0 {
+					k.After(time.Duration(mix(uint64(depth), uint64(at))%1000)*time.Microsecond, chain(k.Now(), depth-1))
+				}
+			}
+		}
+		for i := 0; i < 50; i++ {
+			at := time.Duration(mix(7, uint64(i))%10000) * time.Microsecond
+			k.At(at, chain(at, 10))
+		}
+		return &fired
+	}
+	const deadline = 8 * time.Millisecond
+
+	ka := New(1)
+	fa := build(ka)
+	for ka.Now() < deadline && ka.Step() {
+	}
+	kb := New(1)
+	fb := build(kb)
+	kb.Drain(deadline)
+
+	if !reflect.DeepEqual(*fa, *fb) {
+		t.Fatal("Drain fired a different event sequence than the manual Step loop")
+	}
+	if ka.Executed() != kb.Executed() || ka.Now() != kb.Now() {
+		t.Fatalf("Drain state (exec %d, now %v) != Step loop (exec %d, now %v)",
+			kb.Executed(), kb.Now(), ka.Executed(), ka.Now())
+	}
+	ka.Run()
+	kb.Run()
+	if !reflect.DeepEqual(*fa, *fb) || ka.Executed() != kb.Executed() {
+		t.Fatal("Drain left a different set of events pending than the manual Step loop")
 	}
 }

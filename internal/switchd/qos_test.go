@@ -198,7 +198,7 @@ func TestQoSWithSimSwitchEnqueueAction(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sw.Ingest(1, beFrame)
 	}
-	k.RunFor(3 * time.Millisecond)
+	k.Drain(3 * time.Millisecond)
 	sw.Ingest(1, prioFrame)
 	k.Run()
 

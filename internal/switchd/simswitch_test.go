@@ -158,7 +158,7 @@ func TestSimSwitchFlowGranularityRerequest(t *testing.T) {
 	sw.Ingest(1, frame)
 	// Run 50ms: with a 20ms re-request timeout the switch must have
 	// re-sent at least twice.
-	k.RunUntil(50 * time.Millisecond)
+	k.Drain(50 * time.Millisecond)
 	if len(fc.seen) < 3 {
 		t.Fatalf("controller saw %d packet_ins, want >= 3 (original + re-requests)", len(fc.seen))
 	}
@@ -234,7 +234,7 @@ func TestSimSwitchRuleExpiryEmitsFlowRemoved(t *testing.T) {
 		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}},
 	}, 1)
 	sw.DeliverControl(fm)
-	k.RunUntil(2 * time.Second)
+	k.Drain(2 * time.Second)
 	if len(removed) != 1 {
 		t.Fatalf("flow_removed count = %d, want 1", len(removed))
 	}
@@ -254,7 +254,7 @@ func TestSimSwitchUtilizationGrowsWithLoad(t *testing.T) {
 			i := i
 			k.After(time.Duration(i)*100*time.Microsecond, func() { sw.Ingest(1, frame) })
 		}
-		k.RunUntil(time.Duration(n) * 100 * time.Microsecond)
+		k.Drain(time.Duration(n) * 100 * time.Microsecond)
 		return sw.CPUUtilizationPercent()
 	}
 	lo, hi := load(10), load(200)
@@ -297,7 +297,7 @@ func TestSimSwitchBusUtilization(t *testing.T) {
 	k, sw, _, _ := newSimPair(t, openflow.GranularityNone, 16)
 	frame := testFrame(t, "10.1.0.1", 1000, 900)
 	sw.Ingest(1, frame)
-	k.RunUntil(10 * time.Millisecond)
+	k.Drain(10 * time.Millisecond)
 	if got := sw.BusUtilizationPercent(10 * time.Millisecond); got <= 0 {
 		t.Errorf("bus utilization = %g, want > 0 after a full-packet miss", got)
 	}

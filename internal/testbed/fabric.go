@@ -3,7 +3,6 @@ package testbed
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sdnbuffer/internal/capture"
@@ -38,9 +37,9 @@ type FabricOptions struct {
 	// over to their backup shard for the duration.
 	CrashWindows map[int][]netem.Window
 	// Failures is the data-plane fault schedule (DESIGN.md §16): link-down
-	// windows and switch crash windows, injected as ordinary kernel events on
-	// the domains that own the affected state. A nil or empty plan leaves the
-	// run byte-identical to one without the field.
+	// windows and switch crash windows, injected as ordinary kernel events,
+	// one per affected switch. A nil or empty plan leaves the run
+	// byte-identical to one without the field.
 	Failures *netem.FailurePlan
 	// TrackHops records per-hop ingress/egress times for each flow's first
 	// packet (schedule sequence 0), feeding the hop-sum oracle and the hop
@@ -51,18 +50,6 @@ type FabricOptions struct {
 	// from flow_removed / table-full feedback plus destination-prefix
 	// wildcard aggregation past the configured threshold.
 	TableMgmt *tablemgmt.Config
-	// KernelWorkers selects intra-run parallelism: with a value > 1 the
-	// fabric shards the simulation into per-switch and per-controller
-	// logical processes on a conservative parallel kernel (DESIGN.md §15)
-	// and executes event windows on up to that many goroutines. The default
-	// (0 or 1) keeps the untouched serial kernel. Results are byte-identical
-	// either way — the parallel kernel's tie-breaks replicate serial
-	// execution order — and the fabric falls back to the serial kernel when
-	// the configuration rules parallelism out (a zero-propagation link
-	// leaves no lookahead; ControlLossRate > 0 draws from the kernel RNG on
-	// every control send, whose serial global draw order no split stream
-	// can reproduce).
-	KernelWorkers int
 }
 
 func (o FabricOptions) withDefaults() (FabricOptions, error) {
@@ -212,9 +199,7 @@ type Fabric struct {
 	cfg    Config
 	opts   FabricOptions
 	g      *topo.Graph
-	kernel *sim.Kernel    // serial mode only (nil under the parallel kernel)
-	par    *sim.ParKernel // parallel mode only (domain i = switch i, domain NumSwitches+j = controller j)
-	runner sim.Runner     // whichever of the two drives this fabric
+	kernel *sim.Kernel
 	sws    []*switchd.SimSwitch
 	ctls   []*controller.SimController
 	apps   []*topo.PathForwarder
@@ -224,15 +209,10 @@ type Fabric struct {
 	hostUp    []*netem.Link   // host -> attachment switch
 	hostDown  []*netem.Link   // attachment switch -> host
 
-	// ctlDown[j] is owned by controller j's domain; useBackup[i] by switch
-	// i's domain (crash toggles are replicated per domain in parallel mode).
-	// The three counters below are incremented from more than one domain in
-	// the same window, so they are atomic; everything else in this struct
-	// is single-domain-owned or read only after the run.
 	ctlDown    []bool // controller currently crashed
 	useBackup  []bool // switch currently failed over to its backup shard
-	handoffs   atomic.Int64
-	ctlDropped atomic.Int64
+	handoffs   int64
+	ctlDropped int64
 
 	path       []topo.Hop  // the src→dst switch chain
 	pathIndex  map[int]int // switch -> position on path
@@ -243,44 +223,20 @@ type Fabric struct {
 	flows        map[int]*flowTrack
 	emitted      map[frameIdent]int
 	delivered    int64
-	misdelivered atomic.Int64
+	misdelivered int64
 	dups         int64
 	misorders    int64
 
 	// Survivability state (fabricfail.go), allocated only when the plan is
-	// non-empty. linkDownDrops is written from any switch domain (atomic);
-	// swIngress[i] is owned by switch i's domain; deliveryTimes and
-	// failStarts by the destination edge's domain / read-only.
-	linkDownDrops atomic.Int64
+	// non-empty.
+	linkDownDrops int64
 	swIngress     []map[frameIdent]int
 	visitBound    int
 	deliveryTimes []time.Duration
 	failStarts    []time.Duration
 	lastReorderAt time.Duration
 
-	tel       *telemetry.Recorder
-	telShards []*telemetry.Recorder // per-domain recorders, parallel mode only
-}
-
-// ctlDomain maps controller shard j to its parallel-kernel domain (switch i
-// lives on domain i).
-func (fb *Fabric) ctlDomain(j int) int { return fb.g.NumSwitches() + j }
-
-// swKernel reports the kernel executing switch i's events.
-func (fb *Fabric) swKernel(i int) *sim.Kernel {
-	if fb.par != nil {
-		return fb.par.DomainKernel(i)
-	}
-	return fb.kernel
-}
-
-// telSw reports the recorder switch i's domain feeds (the shared recorder in
-// serial mode).
-func (fb *Fabric) telSw(i int) *telemetry.Recorder {
-	if fb.telShards != nil {
-		return fb.telShards[i]
-	}
-	return fb.tel
+	tel *telemetry.Recorder
 }
 
 // NewFabric assembles a fabric. The per-switch Config carries the same
@@ -310,10 +266,12 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		cfg.Controller = controller.DefaultSimConfig()
 	}
 
+	k := sim.New(cfg.Seed)
 	fb := &Fabric{
 		cfg:       cfg,
 		opts:      opts,
 		g:         g,
+		kernel:    k,
 		ctlDown:   make([]bool, opts.Shards),
 		useBackup: make([]bool, g.NumSwitches()),
 		index:     make(map[frameIdent]int),
@@ -321,70 +279,9 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		emitted:   make(map[frameIdent]int),
 	}
 
-	// Kernel selection (DESIGN.md §15). The lookahead is the minimum
-	// propagation delay of any cross-domain link: control links always cross
-	// (switch domain ↔ controller domain), and with more than one switch the
-	// inter-switch data links (host-link parameters) cross too.
-	lookahead := cfg.ControlLinkPropagation
-	if g.NumSwitches() > 1 && cfg.HostLinkPropagation < lookahead {
-		lookahead = cfg.HostLinkPropagation
-	}
-	var par *sim.ParKernel
-	var k *sim.Kernel
-	if opts.KernelWorkers > 1 && lookahead > 0 && cfg.ControlLossRate == 0 {
-		par, err = sim.NewPar(cfg.Seed, g.NumSwitches()+opts.Shards, lookahead, opts.KernelWorkers)
-		if err != nil {
-			return nil, fmt.Errorf("testbed: parallel kernel: %w", err)
-		}
-		fb.par = par
-		fb.runner = par
-	} else {
-		k = sim.New(cfg.Seed)
-		fb.kernel = k
-		fb.runner = k
-	}
-	// swk/ctlk select the kernel a component schedules on; markRemote turns
-	// a link crossing domains into a mailbox edge of the parallel kernel.
-	swk := func(i int) *sim.Kernel {
-		if par != nil {
-			return par.DomainKernel(i)
-		}
-		return k
-	}
-	ctlk := func(j int) *sim.Kernel {
-		if par != nil {
-			return par.DomainKernel(g.NumSwitches() + j)
-		}
-		return k
-	}
-	markRemote := func(l *netem.Link, srcDom, dstDom int) {
-		if par != nil && srcDom != dstDom {
-			l.SetRemote(func(t time.Duration, fn func()) { par.Post(srcDom, dstDom, t, fn) })
-		}
-	}
-
 	if cfg.Telemetry != nil {
 		fb.tel = telemetry.NewRecorder(*cfg.Telemetry)
 		telemetry.SetEnabled(true)
-		if par != nil {
-			// Per-LP recorders keep emission lock-free; the total ring
-			// budget is split across domains so a big fabric does not
-			// multiply the configured footprint.
-			capa := cfg.Telemetry.SpanCapacity
-			if capa < 1 {
-				capa = telemetry.DefaultSpanCapacity
-			}
-			per := capa / par.Domains()
-			if per < 1024 {
-				per = 1024
-			}
-			shCfg := *cfg.Telemetry
-			shCfg.SpanCapacity = per
-			fb.telShards = make([]*telemetry.Recorder, par.Domains())
-			for d := range fb.telShards {
-				fb.telShards[d] = telemetry.NewRecorder(shCfg)
-			}
-		}
 	}
 	fb.path, err = g.HostPath(opts.SrcHost, opts.DstHost)
 	if err != nil {
@@ -399,16 +296,15 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		fb.firstIdent = make(map[int]frameIdent)
 	}
 
-	mkLink := func(on *sim.Kernel, name string, mbps float64, prop time.Duration) (*netem.Link, error) {
-		l, err := netem.NewLink(on, name, mbps, prop)
+	mkLink := func(name string, mbps float64, prop time.Duration) (*netem.Link, error) {
+		l, err := netem.NewLink(k, name, mbps, prop)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: link %s: %w", name, err)
 		}
 		return l, nil
 	}
 
-	// Control plane: one PathForwarder per shard over the shared graph. Each
-	// controller lives on its own domain.
+	// Control plane: one PathForwarder per shard over the shared graph.
 	for j := 0; j < opts.Shards; j++ {
 		app := topo.NewPathForwarder(g, opts.Install, cfg.Forwarder)
 		if opts.TableMgmt != nil {
@@ -416,16 +312,12 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 				return nil, fmt.Errorf("testbed: controller %d: %w", j, err)
 			}
 		}
-		ctl, err := controller.NewSimController(ctlk(j), cfg.Controller, app)
+		ctl, err := controller.NewSimController(k, cfg.Controller, app)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: building controller %d: %w", j, err)
 		}
 		if fb.tel != nil {
-			if fb.telShards != nil {
-				ctl.SetTelemetry(fb.telShards[g.NumSwitches()+j])
-			} else {
-				ctl.SetTelemetry(fb.tel)
-			}
+			ctl.SetTelemetry(fb.tel)
 		}
 		fb.apps = append(fb.apps, app)
 		fb.ctls = append(fb.ctls, ctl)
@@ -435,21 +327,14 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 	// point (what the switch's control sender calls for this role). A
 	// crashed controller loses messages in both directions.
 	attach := func(i, j int, sw *switchd.SimSwitch, role string, standby bool) (func(msg []byte), error) {
-		// The uplink's send side (queue, counters) belongs to switch i's
-		// domain and its deliveries land on controller j's; the downlink is
-		// the mirror image. Both ctlDown guards execute on the controller's
-		// domain — at uplink arrival and at downlink send — which is what
-		// lets ctlDown stay a plain bool.
-		up, err := mkLink(swk(i), fmt.Sprintf("sw%d->ctl%d(%s)", i, j, role), cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
+		up, err := mkLink(fmt.Sprintf("sw%d->ctl%d(%s)", i, j, role), cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
 		if err != nil {
 			return nil, err
 		}
-		markRemote(up, i, g.NumSwitches()+j)
-		down, err := mkLink(ctlk(j), fmt.Sprintf("ctl%d->sw%d(%s)", j, i, role), cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
+		down, err := mkLink(fmt.Sprintf("ctl%d->sw%d(%s)", j, i, role), cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
 		if err != nil {
 			return nil, err
 		}
-		markRemote(down, g.NumSwitches()+j, i)
 		if cfg.ControlLossRate > 0 {
 			if err := up.SetLossRate(cfg.ControlLossRate); err != nil {
 				return nil, err
@@ -461,7 +346,7 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		fb.chans = append(fb.chans, capture.NewControlChannel(up, down))
 		conn, deliver := fb.ctls[j].AttachConn(func(msg []byte) {
 			if fb.ctlDown[j] {
-				fb.ctlDropped.Add(1)
+				fb.ctlDropped++
 				return
 			}
 			down.Send(msg, func() { sw.DeliverControl(msg) })
@@ -474,7 +359,7 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		return func(msg []byte) {
 			up.Send(msg, func() {
 				if fb.ctlDown[j] {
-					fb.ctlDropped.Add(1)
+					fb.ctlDropped++
 					return
 				}
 				deliver(msg)
@@ -487,12 +372,12 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		swCfg := cfg.Switch
 		swCfg.Datapath.DatapathID = uint64(i + 1)
 		swCfg.Datapath.NumPorts = g.NumPorts(i)
-		sw, err := switchd.NewSimSwitch(swk(i), swCfg)
+		sw, err := switchd.NewSimSwitch(k, swCfg)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: building switch %d: %w", i, err)
 		}
 		if fb.tel != nil {
-			sw.SetTelemetry(fb.telSw(i))
+			sw.SetTelemetry(fb.tel)
 		}
 		master := i % opts.Shards
 		sendMaster, err := attach(i, master, sw, "m", false)
@@ -517,42 +402,18 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		fb.sws = append(fb.sws, sw)
 	}
 
-	// Crash windows: deterministic handoff at the window edges. The serial
-	// kernel toggles everything in one event per edge; the parallel kernel
-	// replicates each edge onto every domain owning a piece of the state —
-	// one counted event on the controller's domain (keeping Executed()
-	// byte-identical) plus uncounted shadow events flipping each mastered
-	// switch's failover flag on that switch's own domain.
+	// Crash windows: deterministic handoff at the window edges, one event
+	// per edge toggling the controller and every switch it masters.
 	for j := 0; j < opts.Shards; j++ {
 		for _, w := range opts.CrashWindows[j] {
-			j, w := j, w
-			if par != nil {
-				ctlk(j).At(w.Start, func() { fb.ctlDown[j] = true })
-				ctlk(j).At(w.End, func() { fb.ctlDown[j] = false })
-				if opts.Shards > 1 {
-					for i := 0; i < g.NumSwitches(); i++ {
-						if i%opts.Shards != j {
-							continue
-						}
-						i := i
-						par.ShadowAt(i, w.Start, func() {
-							if !fb.useBackup[i] {
-								fb.useBackup[i] = true
-								fb.handoffs.Add(1)
-							}
-						})
-						par.ShadowAt(i, w.End, func() { fb.useBackup[i] = false })
-					}
-				}
-				continue
-			}
+			j := j
 			k.At(w.Start, func() {
 				fb.ctlDown[j] = true
 				if opts.Shards > 1 {
 					for i := range fb.sws {
 						if i%opts.Shards == j && !fb.useBackup[i] {
 							fb.useBackup[i] = true
-							fb.handoffs.Add(1)
+							fb.handoffs++
 						}
 					}
 				}
@@ -568,11 +429,11 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		}
 	}
 
-	// Data-plane failure plan: translated into kernel events on the domains
-	// owning the affected state, identically in serial and parallel mode
-	// (fabricfail.go). Shards learn each other's topology transitions over a
-	// modeled sync link; wiring the hook without a plan changes nothing — it
-	// only fires on first-hand learns, which need a port_status.
+	// Data-plane failure plan: translated into kernel events, one per
+	// affected switch (fabricfail.go). Shards learn each other's topology
+	// transitions over a modeled sync link; wiring the hook without a plan
+	// changes nothing — it only fires on first-hand learns, which need a
+	// port_status.
 	if !opts.Failures.Empty() {
 		fb.initSurvivability(opts.Failures)
 		fb.scheduleFailures(opts.Failures)
@@ -591,22 +452,19 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 			if peer.Switch < 0 {
 				continue
 			}
-			l, err := mkLink(swk(i), fmt.Sprintf("sw%d:%d->sw%d", i, p, peer.Switch), cfg.HostLinkMbps, cfg.HostLinkPropagation)
+			l, err := mkLink(fmt.Sprintf("sw%d:%d->sw%d", i, p, peer.Switch), cfg.HostLinkMbps, cfg.HostLinkPropagation)
 			if err != nil {
 				return nil, err
 			}
-			markRemote(l, i, peer.Switch)
 			fb.dataLinks[i][p-1] = l
 		}
 	}
 	for hIdx, h := range g.Hosts() {
-		// Host access links never cross domains: a host lives on its
-		// attachment switch's domain (injections are scheduled there).
-		up, err := mkLink(swk(h.Switch), fmt.Sprintf("h%d->sw%d", hIdx, h.Switch), cfg.HostLinkMbps, cfg.HostLinkPropagation)
+		up, err := mkLink(fmt.Sprintf("h%d->sw%d", hIdx, h.Switch), cfg.HostLinkMbps, cfg.HostLinkPropagation)
 		if err != nil {
 			return nil, err
 		}
-		down, err := mkLink(swk(h.Switch), fmt.Sprintf("sw%d->h%d", h.Switch, hIdx), cfg.HostLinkMbps, cfg.HostLinkPropagation)
+		down, err := mkLink(fmt.Sprintf("sw%d->h%d", h.Switch, hIdx), cfg.HostLinkMbps, cfg.HostLinkPropagation)
 		if err != nil {
 			return nil, err
 		}
@@ -633,14 +491,14 @@ func (fb *Fabric) onTransmit(i int, port uint16, frame []byte) {
 			fb.hostDown[peer.Host].Send(frame, func() {
 				fb.delivered++
 				if fb.deliveryTimes != nil {
-					fb.deliveryTimes = append(fb.deliveryTimes, fb.swKernel(i).Now())
+					fb.deliveryTimes = append(fb.deliveryTimes, fb.kernel.Now())
 				}
 			})
 			return
 		}
 		// A workload frame leaving toward any other host took a wrong turn.
 		if _, _, ok := fb.identify(frame); ok {
-			fb.misdelivered.Add(1)
+			fb.misdelivered++
 		}
 		fb.hostDown[peer.Host].Send(frame, nil)
 		return
@@ -652,7 +510,7 @@ func (fb *Fabric) onTransmit(i int, port uint16, frame []byte) {
 		// destroyed there — the egress backstop stops new sends at the source,
 		// this accounts for what the failure caught mid-air.
 		if fb.sws[next].Datapath().PortDown(nextPort) {
-			fb.linkDownDrops.Add(1)
+			fb.linkDownDrops++
 			return
 		}
 		fb.noteIngress(next, frame)
@@ -675,7 +533,7 @@ func (fb *Fabric) identify(frame []byte) (frameIdent, int, bool) {
 // observeExit is the exactly-once-in-order oracle at the destination edge,
 // identical to the single-switch platform's transmit tap.
 func (fb *Fabric) observeExit(sw int, frame []byte) {
-	now := fb.swKernel(sw).Now()
+	now := fb.kernel.Now()
 	ident, id, ok := fb.identify(frame)
 	if !ok {
 		return
@@ -699,7 +557,7 @@ func (fb *Fabric) observeExit(sw int, frame []byte) {
 		tr.leaveFirst = now
 		tr.haveLeave = true
 		if fb.tel != nil {
-			fb.telSw(sw).Span(telemetry.KindFlowSetup, tr.enterFirst, now,
+			fb.tel.Span(telemetry.KindFlowSetup, tr.enterFirst, now,
 				telemetry.HashKey(ident.key), uint32(id), uint32(len(frame)))
 		}
 	}
@@ -727,14 +585,11 @@ func (fb *Fabric) hopEnter(sw int, frame []byte) {
 	if ht == nil || ht.seenIn[pos] {
 		return
 	}
-	now := fb.swKernel(sw).Now()
+	now := fb.kernel.Now()
 	ht.enters[pos] = now
 	ht.seenIn[pos] = true
-	// The upstream hop's exit record was written on the previous switch's
-	// domain at least one link propagation — one lookahead — earlier, so the
-	// barrier between windows ordered it before this read.
 	if fb.tel != nil && pos > 0 && ht.seenEx[pos-1] {
-		fb.telSw(sw).Span(telemetry.KindHopLink, ht.exits[pos-1], now,
+		fb.tel.Span(telemetry.KindHopLink, ht.exits[pos-1], now,
 			telemetry.HashKey(ident.key), uint32(pos-1), uint32(len(frame)))
 	}
 }
@@ -757,24 +612,17 @@ func (fb *Fabric) hopExit(sw int, frame []byte) {
 	if ht == nil || ht.seenEx[pos] {
 		return
 	}
-	now := fb.swKernel(sw).Now()
+	now := fb.kernel.Now()
 	ht.exits[pos] = now
 	ht.seenEx[pos] = true
 	if fb.tel != nil && ht.seenIn[pos] {
-		fb.telSw(sw).Span(telemetry.KindHopResidency, ht.enters[pos], now,
+		fb.tel.Span(telemetry.KindHopResidency, ht.enters[pos], now,
 			telemetry.HashKey(ident.key), uint32(pos), uint32(len(frame)))
 	}
 }
 
-// Kernel exposes the serial event kernel (nil when the fabric runs on the
-// parallel kernel — see FabricOptions.KernelWorkers and ParKernel).
+// Kernel exposes the event kernel.
 func (fb *Fabric) Kernel() *sim.Kernel { return fb.kernel }
-
-// ParKernel exposes the parallel kernel (nil on the serial path).
-func (fb *Fabric) ParKernel() *sim.ParKernel { return fb.par }
-
-// Runner exposes whichever kernel drives this fabric.
-func (fb *Fabric) Runner() sim.Runner { return fb.runner }
 
 // Graph exposes the topology.
 func (fb *Fabric) Graph() *topo.Graph { return fb.g }
@@ -849,12 +697,11 @@ func (fb *Fabric) Run(sched pktgen.Schedule) (*FabricResult, error) {
 		}
 	}
 	src := fb.g.Hosts()[fb.opts.SrcHost]
-	srck := fb.swKernel(src.Switch) // injections live on the source edge's domain
 	for _, e := range sched {
 		e := e
-		srck.At(e.At, func() {
+		fb.kernel.At(e.At, func() {
 			fb.hostUp[fb.opts.SrcHost].Send(e.Frame, func() {
-				now := srck.Now()
+				now := fb.kernel.Now()
 				if _, id, ok := fb.identify(e.Frame); ok {
 					tr := fb.flows[id]
 					if !tr.haveEnter {
@@ -869,17 +716,13 @@ func (fb *Fabric) Run(sched pktgen.Schedule) (*FabricResult, error) {
 		})
 	}
 	deadline := sched.Duration() + fb.cfg.Drain
-	fb.runner.Drain(deadline)
-	if fb.telShards != nil {
-		fb.tel.MergeShards(fb.runner.Now(), fb.telShards)
-	} else {
-		fb.tel.Finish(fb.runner.Now()) // nil-safe
-	}
+	fb.kernel.Drain(deadline)
+	fb.tel.Finish(fb.kernel.Now()) // nil-safe
 	return fb.collect(sched), nil
 }
 
 func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
-	now := fb.runner.Now()
+	now := fb.kernel.Now()
 	res := &FabricResult{
 		Switches: fb.g.NumSwitches(),
 		Shards:   fb.opts.Shards,
@@ -969,7 +812,7 @@ func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
 		res.LedgerGap += tm.LedgerGap()
 	}
 	res.SwitchUsagePercent /= float64(len(fb.sws))
-	res.LinkDownDrops = fb.linkDownDrops.Load()
+	res.LinkDownDrops = fb.linkDownDrops
 	res.LoopFrames = fb.loopFrames()
 	res.ConvergenceTime = fb.convergenceTime()
 	res.LastReorderTime = fb.lastReorderAt
@@ -997,8 +840,8 @@ func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
 	res.FramesDelivered = fb.delivered
 	res.DupEmissions = fb.dups
 	res.OrderViolations = fb.misorders
-	res.Handoffs = fb.handoffs.Load()
-	res.CtlDropped = fb.ctlDropped.Load()
-	res.Misdelivered = fb.misdelivered.Load()
+	res.Handoffs = fb.handoffs
+	res.CtlDropped = fb.ctlDropped
+	res.Misdelivered = fb.misdelivered
 	return res
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,6 +52,34 @@ func runFabric(t *testing.T, spec string, g openflow.BufferGranularity, opts Fab
 		t.Fatalf("Run(%s): %v", spec, err)
 	}
 	return fb, res
+}
+
+// diffResults reports every field where two FabricResults disagree, so a
+// divergence names the metric instead of dumping two structs.
+func diffResults(t *testing.T, label string, want, got *FabricResult) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	wv := reflect.ValueOf(*want)
+	gv := reflect.ValueOf(*got)
+	typ := wv.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		if !reflect.DeepEqual(wv.Field(i).Interface(), gv.Field(i).Interface()) {
+			t.Errorf("%s: %s: want %v, got %v",
+				label, typ.Field(i).Name, wv.Field(i).Interface(), gv.Field(i).Interface())
+		}
+	}
+	// Result is embedded; walk it too for field names.
+	wr := reflect.ValueOf(want.Result)
+	gr := reflect.ValueOf(got.Result)
+	rt := wr.Type()
+	for i := 0; i < rt.NumField(); i++ {
+		if !reflect.DeepEqual(wr.Field(i).Interface(), gr.Field(i).Interface()) {
+			t.Errorf("%s: Result.%s: want %v, got %v",
+				label, rt.Field(i).Name, wr.Field(i).Interface(), gr.Field(i).Interface())
+		}
+	}
 }
 
 func TestFabricDelayMatchesHopSumOracle(t *testing.T) {

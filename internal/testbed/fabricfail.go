@@ -5,26 +5,14 @@ import (
 	"time"
 
 	"sdnbuffer/internal/netem"
-	"sdnbuffer/internal/sim"
 	"sdnbuffer/internal/topo"
 )
 
 // Fabric survivability (DESIGN.md §16): the failure plan becomes ordinary
-// kernel events, scheduled per affected domain — one event per (domain,
-// transition) in serial and parallel mode alike, so the executed-event
-// stream and every result column are byte-identical at any worker count.
-// Detection and recovery then run entirely through modeled channels: the
+// kernel events, one per (affected switch, transition). Detection and recovery then run entirely through modeled channels: the
 // switch announces port_status over its control link, the mastering shard
 // swaps its routing snapshot and flushes, and peers learn the transition
 // over the inter-controller sync link wired below.
-
-// ctlKernel reports the kernel executing controller shard j's events.
-func (fb *Fabric) ctlKernel(j int) *sim.Kernel {
-	if fb.par != nil {
-		return fb.par.DomainKernel(fb.ctlDomain(j))
-	}
-	return fb.kernel
-}
 
 // initSurvivability allocates the plan-gated observers: per-switch ingress
 // counts for the loop oracle, the delivery timeline for convergence, and
@@ -60,8 +48,8 @@ func (fb *Fabric) initSurvivability(plan *netem.FailurePlan) {
 }
 
 // scheduleFailures turns the plan into kernel events. A link failure flips
-// the facing port on each endpoint's own domain; a switch failure crashes
-// the chassis on its domain and takes every neighbor's facing port down —
+// the facing port on each endpoint; a switch failure crashes the chassis
+// and takes every neighbor's facing port down —
 // carrier loss is how the fabric detects a dead peer, exactly as hardware
 // would. Port state is symmetric: the egress backstop stops new sends at
 // the source from w.Start, and onTransmit destroys what the failure caught
@@ -74,9 +62,8 @@ func (fb *Fabric) scheduleFailures(plan *netem.FailurePlan) {
 	}
 	for _, sf := range plan.Switches {
 		i, w := sf.Switch, sf.Window
-		k := fb.swKernel(i)
-		k.At(w.Start, func() { fb.sws[i].Crash() }) // loss lands in FailureStats
-		k.At(w.End, func() { fb.sws[i].Restart() })
+		fb.kernel.At(w.Start, func() { fb.sws[i].Crash() }) // loss lands in FailureStats
+		fb.kernel.At(w.End, func() { fb.sws[i].Restart() })
 		for p := 1; p <= fb.g.NumPorts(i); p++ {
 			peer, ok := fb.g.PeerOf(i, uint16(p))
 			if !ok || peer.Switch < 0 {
@@ -87,18 +74,17 @@ func (fb *Fabric) scheduleFailures(plan *netem.FailurePlan) {
 	}
 }
 
-// schedulePortWindow takes one switch port down for the window, on the
-// owning switch's domain. SetPortDown is idempotent, so overlapping plan
+// schedulePortWindow takes one switch port down for the window.
+// SetPortDown is idempotent, so overlapping plan
 // entries converge instead of double-notifying.
 func (fb *Fabric) schedulePortWindow(sw int, port uint16, w netem.Window) {
-	k := fb.swKernel(sw)
-	k.At(w.Start, func() { _ = fb.sws[sw].SetPortDown(port, true) })
-	k.At(w.End, func() { _ = fb.sws[sw].SetPortDown(port, false) })
+	fb.kernel.At(w.Start, func() { _ = fb.sws[sw].SetPortDown(port, true) })
+	fb.kernel.At(w.End, func() { _ = fb.sws[sw].SetPortDown(port, false) })
 }
 
 // wirePeerSync connects the shards' topology views: a first-hand learned
 // edge transition reaches every other shard one control-link propagation
-// later, as a LearnEdge delivery on that shard's domain. The receiving
+// later, as a LearnEdge delivery on that shard. The receiving
 // shard's flushes then leave through its normal controller egress
 // (InjectDirected), paying the normal CPU and link costs. A crashed
 // controller misses the sync — counted with the other control losses —
@@ -111,33 +97,28 @@ func (fb *Fabric) wirePeerSync() {
 	for j := range fb.apps {
 		j := j
 		fb.apps[j].SetPeerNotify(func(e topo.EdgeKey, down bool) {
-			t := fb.ctlKernel(j).Now() + delay
+			t := fb.kernel.Now() + delay
 			for j2 := range fb.apps {
 				if j2 == j {
 					continue
 				}
 				j2 := j2
-				deliver := func() {
+				fb.kernel.At(t, func() {
 					if fb.ctlDown[j2] {
-						fb.ctlDropped.Add(1)
+						fb.ctlDropped++
 						return
 					}
 					if dirs := fb.apps[j2].LearnEdge(e, down); len(dirs) > 0 {
 						fb.ctls[j2].InjectDirected(dirs)
 					}
-				}
-				if fb.par != nil {
-					fb.par.Post(fb.ctlDomain(j), fb.ctlDomain(j2), t, deliver)
-				} else {
-					fb.kernel.At(t, deliver)
-				}
+				})
 			}
 		})
 	}
 }
 
 // noteIngress feeds the loop oracle: one count per workload frame entering
-// a switch, written on that switch's own domain.
+// a switch.
 func (fb *Fabric) noteIngress(sw int, frame []byte) {
 	if fb.swIngress == nil {
 		return
@@ -164,8 +145,7 @@ func (fb *Fabric) loopFrames() int64 {
 
 // convergenceTime reports the longest delivery gap any failure opened: for
 // each failure-window start, the wait until the destination edge saw its
-// next frame. Deliveries are recorded in time order on the destination
-// domain, so the first at-or-after entry is the reconvergence point.
+// next frame. Deliveries are recorded in time order, so the first at-or-after entry is the reconvergence point.
 func (fb *Fabric) convergenceTime() time.Duration {
 	var worst time.Duration
 	for _, start := range fb.failStarts {

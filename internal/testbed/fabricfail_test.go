@@ -103,7 +103,7 @@ func checkSurvivability(t *testing.T, label string, res *FabricResult, settleBy 
 // runSurvivability builds a 2×2 leaf-spine, kills mid-run whatever the plan
 // names, and returns the result.
 func runSurvivability(t *testing.T, gran openflow.BufferGranularity, install topo.InstallMode,
-	shards, workers int, mkPlan func(g *topo.Graph, w netem.Window) *netem.FailurePlan) (*FabricResult, time.Duration) {
+	shards int, mkPlan func(g *topo.Graph, w netem.Window) *netem.FailurePlan) (*FabricResult, time.Duration) {
 	t.Helper()
 	graph := buildGraph(t, "leafspine:leaves=2,spines=2")
 	sched := survivabilitySched(t, graph, 1)
@@ -112,11 +112,10 @@ func runSurvivability(t *testing.T, gran openflow.BufferGranularity, install top
 	cfg := DefaultConfig(buf, 256)
 	cfg.Seed = 1
 	fb, err := NewFabric(cfg, FabricOptions{
-		Graph:         graph,
-		Shards:        shards,
-		Install:       install,
-		KernelWorkers: workers,
-		Failures:      plan,
+		Graph:    graph,
+		Shards:   shards,
+		Install:  install,
+		Failures: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +160,7 @@ func TestFabricLinkFailureSurvivability(t *testing.T) {
 	} {
 		for _, install := range []topo.InstallMode{topo.InstallHopByHop, topo.InstallPath} {
 			label := fmt.Sprintf("gran=%v install=%v", gran, install)
-			res, settle := runSurvivability(t, gran, install, 1, 1, firstHopPlan)
+			res, settle := runSurvivability(t, gran, install, 1, firstHopPlan)
 			checkSurvivability(t, label, res, settle)
 			if gran == openflow.GranularityFlow && res.BufDropsDeadPort != 0 {
 				t.Errorf("%s: flow granularity destroyed %d buffered packets (units must stay parked)",
@@ -176,7 +175,7 @@ func TestFabricSwitchCrashSurvivability(t *testing.T) {
 	// reroutes over the other spine, and the chassis losses — wiped buffers,
 	// frames into the dead switch — are named in the ledger. After restart
 	// the pristine routes return through the empty switch's miss path.
-	res, settle := runSurvivability(t, openflow.GranularityFlow, topo.InstallPath, 1, 1, midSpinePlan)
+	res, settle := runSurvivability(t, openflow.GranularityFlow, topo.InstallPath, 1, midSpinePlan)
 	checkSurvivability(t, "spine crash", res, settle)
 	if res.CrashBufPackets == 0 && res.CrashRxDrops == 0 && res.LinkDownDrops == 0 {
 		t.Error("spine crash destroyed nothing — the failure never bit the workload")
@@ -188,7 +187,7 @@ func TestFabricSurvivabilityDeterministic(t *testing.T) {
 	// controllers learning the failure at different times over the peer
 	// sync link — keeps every invariant.
 	run := func() (*FabricResult, time.Duration) {
-		return runSurvivability(t, openflow.GranularityFlow, topo.InstallPath, 2, 1, firstHopPlan)
+		return runSurvivability(t, openflow.GranularityFlow, topo.InstallPath, 2, firstHopPlan)
 	}
 	res, settle := run()
 	checkSurvivability(t, "sharded link failure", res, settle)
@@ -196,56 +195,18 @@ func TestFabricSurvivabilityDeterministic(t *testing.T) {
 	diffResults(t, "repeat run", res, again)
 }
 
-func TestFabricSurvivabilityParMatchesSerial(t *testing.T) {
-	// The §15 contract extends to failure runs: link kill plus spine crash,
-	// two shards, and the parallel kernel at any worker count reproduces the
-	// serial result field for field — failure events are scheduled one per
-	// owning domain in both modes, so even Executed() matches.
+func TestFabricSurvivabilityLinkKillThenSpineCrash(t *testing.T) {
+	// Two failures in one run on a two-shard fabric: the active path's
+	// first link dies, and after it heals the spine it crossed crashes.
+	// Both shards must learn both transitions and every invariant holds.
 	mkPlan := func(g *topo.Graph, w netem.Window) *netem.FailurePlan {
 		p := firstHopPlan(g, w)
 		late := netem.Window{Start: w.End + 5*time.Millisecond, End: w.End + 15*time.Millisecond}
 		p.Switches = midSpinePlan(g, late).Switches
 		return p
 	}
-	graph := buildGraph(t, "leafspine:leaves=2,spines=2")
-	sched := survivabilitySched(t, graph, 1)
-	plan := mkPlan(graph, midWindow(sched))
-	run := func(workers int) (*Fabric, *FabricResult) {
-		buf := openflow.FlowBufferConfig{Granularity: openflow.GranularityFlow, RerequestTimeoutMs: 50}
-		cfg := DefaultConfig(buf, 256)
-		cfg.Seed = 1
-		fb, err := NewFabric(cfg, FabricOptions{
-			Graph:         graph,
-			Shards:        2,
-			Install:       topo.InstallPath,
-			KernelWorkers: workers,
-			Failures:      plan,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := fb.Run(sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fb, res
-	}
-	sfb, sres := run(1)
-	checkSurvivability(t, "serial baseline", sres, settleDeadline(plan))
-	for _, workers := range []int{2, 8} {
-		label := fmt.Sprintf("workers=%d", workers)
-		pfb, pres := run(workers)
-		if pfb.ParKernel() == nil {
-			t.Fatalf("%s: still on the serial kernel", label)
-		}
-		diffResults(t, label, sres, pres)
-		if se, pe := sfb.Runner().Executed(), pfb.Runner().Executed(); se != pe {
-			t.Errorf("%s: executed %d events, serial %d", label, pe, se)
-		}
-		if sn, pn := sfb.Runner().Now(), pfb.Runner().Now(); sn != pn {
-			t.Errorf("%s: final virtual time %v, serial %v", label, pn, sn)
-		}
-	}
+	res, settle := runSurvivability(t, openflow.GranularityFlow, topo.InstallPath, 2, mkPlan)
+	checkSurvivability(t, "link kill then spine crash", res, settle)
 }
 
 func TestFabricEmptyFailurePlanIsInert(t *testing.T) {
@@ -263,7 +224,7 @@ func TestFabricEmptyFailurePlanIsInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, fb.Runner().Executed()
+		return res, fb.Kernel().Executed()
 	}
 	base, baseExec := run(nil)
 	empty, emptyExec := run(&netem.FailurePlan{})
@@ -277,10 +238,9 @@ func TestFabricEmptyFailurePlanIsInert(t *testing.T) {
 }
 
 // TestSurvivabilitySoak is CI's survivability seed sweep (SURVIVABILITY_SOAK=1,
-// under the race detector): many seeds × both failure scenarios × mechanisms
-// × serial and parallel kernels, every run held to the full survivability
-// contract. Skipped unless SURVIVABILITY_SOAK is set so regular `go test`
-// stays fast.
+// under the race detector): many seeds × both failure scenarios × mechanisms,
+// every run held to the full survivability contract. Skipped unless
+// SURVIVABILITY_SOAK is set so regular `go test` stays fast.
 func TestSurvivabilitySoak(t *testing.T) {
 	if os.Getenv("SURVIVABILITY_SOAK") == "" {
 		t.Skip("set SURVIVABILITY_SOAK=1 to run the survivability seed sweep")
@@ -296,36 +256,33 @@ func TestSurvivabilitySoak(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		for _, pl := range plans {
 			for _, gran := range grans {
-				for _, workers := range []int{1, 4} {
-					label := fmt.Sprintf("seed=%d %s gran=%v workers=%d", seed, pl.name, gran, workers)
-					pg := fabricPktgen(graph, 40, 1)
-					pg.Seed = seed
-					sched, err := pktgen.InterleavedBursts(pg, 8, 30, 4)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					plan := pl.mk(graph, midWindow(sched))
-					buf := openflow.FlowBufferConfig{Granularity: gran, RerequestTimeoutMs: 50}
-					cfg := DefaultConfig(buf, 256)
-					cfg.Seed = seed
-					fb, err := NewFabric(cfg, FabricOptions{
-						Graph:         graph,
-						Shards:        2,
-						Install:       topo.InstallPath,
-						KernelWorkers: workers,
-						Failures:      plan,
-					})
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					res, err := fb.Run(sched)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					checkSurvivability(t, label, res, settleDeadline(plan))
-					t.Logf("%s: delivered %d/%d, converged in %v, %d rerouted",
-						label, res.FramesDelivered, res.FramesSent, res.ConvergenceTime, res.ReroutedPaths)
+				label := fmt.Sprintf("seed=%d %s gran=%v", seed, pl.name, gran)
+				pg := fabricPktgen(graph, 40, 1)
+				pg.Seed = seed
+				sched, err := pktgen.InterleavedBursts(pg, 8, 30, 4)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
 				}
+				plan := pl.mk(graph, midWindow(sched))
+				buf := openflow.FlowBufferConfig{Granularity: gran, RerequestTimeoutMs: 50}
+				cfg := DefaultConfig(buf, 256)
+				cfg.Seed = seed
+				fb, err := NewFabric(cfg, FabricOptions{
+					Graph:    graph,
+					Shards:   2,
+					Install:  topo.InstallPath,
+					Failures: plan,
+				})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				res, err := fb.Run(sched)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				checkSurvivability(t, label, res, settleDeadline(plan))
+				t.Logf("%s: delivered %d/%d, converged in %v, %d rerouted",
+					label, res.FramesDelivered, res.FramesSent, res.ConvergenceTime, res.ReroutedPaths)
 			}
 		}
 	}

@@ -87,14 +87,6 @@ type Platform struct {
 	// supplements it: the proxy cuts requests reaching the controller, the
 	// buffer cuts the requests' size and count at the switch.
 	AuthorityProxy bool
-	// KernelWorkers > 1 runs fabric simulations on the conservative
-	// parallel kernel: per-switch and per-controller logical processes
-	// executing event windows on up to that many goroutines, with results
-	// byte-identical to the serial kernel (the default, 0 or 1). This is
-	// intra-run parallelism — one big fabric goes faster — as opposed to
-	// ExperimentOptions.Parallelism, which fans independent sweep cells
-	// across workers. Single-switch runs are always serial.
-	KernelWorkers int
 }
 
 func (p Platform) config() (testbed.Config, error) {
@@ -262,10 +254,9 @@ func RunFabric(p Platform, spec string, shards int, pathInstall bool, w Workload
 		install = topo.InstallPath
 	}
 	fb, err := testbed.NewFabric(cfg, testbed.FabricOptions{
-		Graph:         g,
-		Shards:        shards,
-		Install:       install,
-		KernelWorkers: p.KernelWorkers,
+		Graph:   g,
+		Shards:  shards,
+		Install: install,
 	})
 	if err != nil {
 		return nil, err
