@@ -469,53 +469,3 @@ func BenchmarkLineTopology(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkProxySupplement measures the paper's §II claim that the buffer
-// supplements intermediate-device approaches: an authority proxy collapses
-// the requests reaching the controller, the buffer shrinks the requests the
-// switch generates — only together do both legs of the control path relax.
-func BenchmarkProxySupplement(b *testing.B) {
-	cases := []struct {
-		name  string
-		mode  Mode
-		proxy bool
-	}{
-		{"nobuf_noproxy", ModeNoBuffer, false},
-		{"nobuf_proxy", ModeNoBuffer, true},
-		{"buf_noproxy", ModePacketGranularity, false},
-		{"buf_proxy", ModePacketGranularity, true},
-	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			var swLoad, ctlPi float64
-			for i := 0; i < b.N; i++ {
-				p := Platform{Mode: c.mode, BufferUnits: 256, AuthorityProxy: c.proxy}
-				cfg, err := p.config()
-				if err != nil {
-					b.Fatal(err)
-				}
-				tb, err := testbed.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sched, err := pktgen.SinglePacketFlows(basePktgen(50, singleSwitchDst), 300)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := tb.Run(sched)
-				if err != nil {
-					b.Fatal(err)
-				}
-				swLoad = res.CtrlLoadToControllerMbps
-				if c.proxy {
-					n, _ := tb.UpstreamCapture().ToController.ByType(openflow.TypePacketIn)
-					ctlPi = float64(n)
-				} else {
-					ctlPi = float64(res.PacketIns)
-				}
-			}
-			b.ReportMetric(swLoad, "switch_Mbps")
-			b.ReportMetric(ctlPi, "ctl_pkt_ins")
-		})
-	}
-}

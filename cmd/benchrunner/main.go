@@ -11,7 +11,6 @@
 //	benchrunner -scenario resilience    # loss-rate × mechanism resilience sweep
 //	benchrunner -scenario outage        # control-blackout fail-mode scenario
 //	benchrunner -scenario delay-decomp  # per-stage delay decomposition vs M/M/c model
-//	benchrunner -scenario overload      # miss-storm sweep, unprotected vs protected
 //	benchrunner -scenario fabric        # multi-switch topology × mechanism × install sweep
 //	benchrunner -scenario survivability # mid-run link/switch failure × mechanism reconvergence sweep
 //	benchrunner -scenario tablemgmt     # flow-table capacity × eviction × aggregation × buffer sweep
@@ -231,15 +230,6 @@ var scenarios = []struct {
 			opts.Flows, opts.PktsPerFlow, opts.Group = 20, 10, 5
 		}
 		return experiments.RunDelayDecomp(opts)
-	}},
-	{"overload", func(quick bool, repeats, parallel int) (report, error) {
-		opts := experiments.OverloadOptions{Repeats: repeats, Parallelism: parallel}
-		if quick {
-			opts.Repeats = 1
-			opts.FlowCounts = []int{32, 128}
-			opts.Rates = []float64{25, 100}
-		}
-		return experiments.RunOverload(opts)
 	}},
 	{"fabric", func(quick bool, repeats, parallel int) (report, error) {
 		opts := experiments.FabricOptions{Repeats: repeats, Parallelism: parallel}

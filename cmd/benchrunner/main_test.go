@@ -94,7 +94,6 @@ func TestScenarioCSVDeterminism(t *testing.T) {
 		"resilience":    "series,loss_rate,",
 		"outage":        "series,fail_mode,",
 		"delay-decomp":  "series,rate_mbps,stage,",
-		"overload":      "series,flows,rate_mbps,",
 		"fabric":        "topo,switches,hops,",
 		"survivability": "topo,scenario,switches,",
 		"tablemgmt":     "topo,capacity,policy,",

@@ -15,7 +15,6 @@ import (
 // allow and whose timing is not deterministic.
 var simExamples = []string{
 	"multihop",
-	"qos",
 	"quickstart",
 	"tcpeviction",
 	"udpburst",

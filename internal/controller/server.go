@@ -94,9 +94,8 @@ type ServerConfig struct {
 	// closed immediately (0 = unlimited).
 	MaxConns int
 	// AcceptRate limits accepted connections per second through a token
-	// bucket of AcceptBurst tokens — the admission ladder's live-socket
-	// form: a reconnect storm is paced instead of thundering into the
-	// handshake path (0 = unlimited).
+	// bucket of AcceptBurst tokens, so a reconnect storm is paced instead
+	// of thundering into the handshake path (0 = unlimited).
 	AcceptRate  float64
 	AcceptBurst int
 
@@ -107,9 +106,8 @@ type ServerConfig struct {
 
 	// OnPressure, when set, is called on every admission pressure level
 	// transition (0 = normal, 1 = above ¾ of MaxConns, 2 = at the cap or
-	// actively rejecting) — the PR-5 ladder-style signal exported to apps,
-	// which can react by pushing backpressure vendor messages or shedding
-	// work. Called from server goroutines; must not block.
+	// actively rejecting), so apps can react by shedding work. Called from
+	// server goroutines; must not block.
 	OnPressure func(level int)
 }
 
@@ -148,7 +146,7 @@ type ServerStats struct {
 	FramingErrors      uint64 // evicted: undecodable/oversized/garbage frame
 	MsgsIn             uint64 // messages dispatched from switches
 	MsgsOut            uint64 // messages written to switches
-	Shed               uint64 // sheddable messages (packet_out, echo) dropped by full queues
+	Shed               uint64 // sheddable messages (buffered packet_out, echo) dropped by full queues
 }
 
 // ConnInfo is a registry snapshot of one switch connection.
@@ -457,14 +455,18 @@ func (s *Server) acceptLoop() {
 }
 
 // sheddable reports whether a message may be dropped when the outbound
-// queue is full. Slow-consumer policy: shed packet_out (losing a released
-// packet costs one retransmit) and keepalive traffic (the peer is stalled
-// anyway, and a missed echo only advances dead-peer detection); never shed
-// flow_mod or any other control state — those block up to StallTimeout and
-// then evict the connection.
+// queue is full. Slow-consumer policy: shed a packet_out that references a
+// switch-side buffer (the frame stays buffered at the switch, where a
+// re-request or buffer expiry recovers it) and keepalive traffic (the peer
+// is stalled anyway, and a missed echo only advances dead-peer detection).
+// Never shed a packet_out carrying its frame (BufferID == NoBuffer: the
+// message is the only copy), flow_mod or any other control state — those
+// block up to StallTimeout and then evict the connection.
 func sheddable(m openflow.Message) bool {
-	switch m.(type) {
-	case *openflow.PacketOut, *openflow.EchoRequest, *openflow.EchoReply:
+	switch t := m.(type) {
+	case *openflow.PacketOut:
+		return t.BufferID != openflow.NoBuffer
+	case *openflow.EchoRequest, *openflow.EchoReply:
 		return true
 	default:
 		return false

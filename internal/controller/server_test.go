@@ -385,7 +385,7 @@ func TestServerAcceptRateLimit(t *testing.T) {
 	}
 }
 
-// TestServerOnPressureTransitions pins the exported ladder-style admission
+// TestServerOnPressureTransitions pins the exported admission pressure
 // signal: filling the registry to the cap raises the level through 1 to 2,
 // and draining lowers it back to 0.
 func TestServerOnPressureTransitions(t *testing.T) {
@@ -655,6 +655,109 @@ func TestServerStallEvictsOnFlowMod(t *testing.T) {
 			t.Fatal("evicted conn still registered")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// packetOutApp answers every packet_in with a lone packet_out to port 2:
+// one that references the switch's buffer when the packet_in was buffered,
+// one carrying the frame itself when it was not.
+type packetOutApp struct{}
+
+func (packetOutApp) Name() string { return "packet-out" }
+
+func (packetOutApp) HandlePacketIn(pi *openflow.PacketIn, _ uint32) ([]openflow.Message, error) {
+	po := &openflow.PacketOut{
+		BufferID: pi.BufferID,
+		InPort:   pi.InPort,
+		Actions:  []openflow.Action{&openflow.ActionOutput{Port: 2}},
+	}
+	if pi.BufferID == openflow.NoBuffer {
+		po.Data = pi.Data
+	}
+	return []openflow.Message{po}, nil
+}
+
+// wedgeWatchConn is writeDeadlineDeafConn that also counts the writes in
+// progress, so a test can tell when the server's writer is stuck in one.
+type wedgeWatchConn struct {
+	writeDeadlineDeafConn
+	inWrite *atomic.Int32
+}
+
+func (c wedgeWatchConn) Write(p []byte) (int, error) {
+	c.inWrite.Add(1)
+	defer c.inWrite.Add(-1)
+	return c.Conn.Write(p)
+}
+
+// TestServerNeverShedsPayloadPacketOut pins the packet_out half of the
+// slow-consumer policy against a wedged peer with a full queue: a packet_out
+// that references a switch buffer is shed, but one carrying its frame
+// (BufferID == NoBuffer) is the only copy of that frame, so it stalls and
+// evicts the connection after StallTimeout instead of being dropped.
+func TestServerNeverShedsPayloadPacketOut(t *testing.T) {
+	srv, err := NewServer(ServerConfig{WriteQueue: 2, StallTimeout: 50 * time.Millisecond}, packetOutApp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := newPipeListener()
+	srv.ServeListener(ln)
+	t.Cleanup(func() { _ = srv.Close() })
+	var inWrite atomic.Int32
+	conn := ln.dialWrapped(t, func(c net.Conn) net.Conn { return wedgeWatchConn{writeDeadlineDeafConn{c}, &inWrite} })
+	pipeHandshake(t, conn, 1)
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %+v", what, srv.Stats())
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	write := func(m openflow.Message, xid uint32) {
+		t.Helper()
+		_ = conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
+		if err := openflow.WriteMessage(conn, m, xid); err != nil {
+			t.Fatalf("write %v: %v", m.Type(), err)
+		}
+	}
+	// The handshake's write finishes once its bytes are read; from then on
+	// nothing reads the pipe, so the writer's next write blocks for good.
+	waitFor("handshake write never finished", func() bool { return inWrite.Load() == 0 })
+
+	// Buffered packet_ins until the writer is stuck and the full queue has
+	// shed a buffered packet_out behind it.
+	xid := uint32(10)
+	buffered := func() {
+		t.Helper()
+		if xid == 400 {
+			t.Fatalf("queue never wedged: %+v", srv.Stats())
+		}
+		write(testPacketIn(t, xid, 128), xid)
+		xid++
+	}
+	for inWrite.Load() == 0 {
+		buffered()
+	}
+	for shed := srv.Stats().Shed; srv.Stats().Shed == shed; {
+		buffered()
+	}
+	// The pipe hands a message over only once the read loop asks for it,
+	// and the loop dispatches each message before reading the next; so once
+	// this no-op hello is taken, every packet_in before it has been answered.
+	write(&openflow.Hello{}, xid)
+	st := srv.Stats()
+	if st.StallEvictions != 0 || srv.ConnCount() != 1 {
+		t.Fatalf("shedding a buffered packet_out evicted the peer: %+v", st)
+	}
+
+	write(testPacketIn(t, openflow.NoBuffer, 256), xid+1)
+	waitFor("payload-carrying packet_out never stall-evicted the wedged peer",
+		func() bool { return srv.Stats().StallEvictions != 0 })
+	if got := srv.Stats().Shed; got != st.Shed {
+		t.Errorf("Shed = %d after the payload-carrying packet_out, want %d: its frame was dropped", got, st.Shed)
 	}
 }
 

@@ -15,19 +15,6 @@ type SimConfig struct {
 	CPUCores int
 	// Cost is the per-message CPU demand model.
 	Cost CostModel
-	// Admission bounds the packet_in intake (overload protection). Zero
-	// value = unbounded, the legacy behavior.
-	Admission AdmissionConfig
-}
-
-// AdmissionConfig is the controller's packet_in admission control: a bound
-// on packet_ins queued for the CPU. Arrivals past the bound are shed before
-// they cost any CPU, and a backpressure vendor message tells the switch;
-// the signal clears (with hysteresis, at half the bound) once the queue
-// drains. The zero value disables admission control entirely.
-type AdmissionConfig struct {
-	// MaxPacketInQueue is the bound; 0 = unbounded (legacy).
-	MaxPacketInQueue int
 }
 
 // DefaultSimConfig returns the calibrated model.
@@ -50,12 +37,6 @@ type SimController struct {
 
 	handled   uint64
 	appErrors uint64
-
-	// Admission-control state (all idle when Admission is zero).
-	piQueued  int  // packet_ins admitted but not yet processed
-	bpActive  bool // backpressure signal currently asserted
-	shed      uint64
-	shedBytes uint64
 
 	// tel is nil unless telemetry is wired (SetTelemetry).
 	tel *telemetry.Recorder
@@ -130,59 +111,11 @@ func (c *SimController) deliverFrom(conn int, msg []byte) {
 	// sending. Splitting keeps causality: expensive requests delay the
 	// decision, expensive responses delay the send.
 	arrived := c.kernel.Now()
-	if max := c.cfg.Admission.MaxPacketInQueue; max > 0 && isPacketIn(msg) {
-		if c.piQueued >= max {
-			// Shed before the CPU sees it — admission control protects the
-			// service capacity, so a refused packet_in costs nothing but the
-			// backpressure signal.
-			c.shed++
-			c.shedBytes += uint64(len(msg))
-			if c.tel != nil {
-				c.tel.Instant(telemetry.KindPacketInShed, arrived, 0, 0, uint32(len(msg)))
-			}
-			c.setBackpressure(conn, true)
-			return
-		}
-		c.piQueued++
-	}
 	inCost := c.cfg.Cost.Cost(len(msg), 0)
 	c.cpu.Submit(inCost, func() { c.process(conn, msg, arrived) })
 }
 
-// isPacketIn peeks at the OpenFlow header without decoding the body.
-func isPacketIn(msg []byte) bool {
-	return len(msg) >= openflow.HeaderLen && openflow.MsgType(msg[1]) == openflow.TypePacketIn
-}
-
-// setBackpressure flips the admission signal and notifies the switch via a
-// vendor message on the triggering connection. The message bypasses the
-// CPU: admission happens at the intake, before service, which is the point.
-func (c *SimController) setBackpressure(conn int, on bool) {
-	if c.bpActive == on {
-		return
-	}
-	c.bpActive = on
-	level := uint8(0)
-	if on {
-		level = 1
-	}
-	msg, err := openflow.Encode(openflow.EncodeBackpressure(level), 0)
-	if err != nil {
-		c.appErrors++
-		return
-	}
-	if sender := c.senders[conn]; sender != nil {
-		sender(msg)
-	}
-}
-
 func (c *SimController) process(conn int, msg []byte, arrived time.Duration) {
-	if c.cfg.Admission.MaxPacketInQueue > 0 && isPacketIn(msg) {
-		c.piQueued--
-		if c.bpActive && c.piQueued <= c.cfg.Admission.MaxPacketInQueue/2 {
-			c.setBackpressure(conn, false)
-		}
-	}
 	m, xid, err := openflow.Decode(msg)
 	if err != nil {
 		c.appErrors++
@@ -339,10 +272,3 @@ func (c *SimController) CPUUtilizationPercent() float64 { return c.cpu.Utilizati
 
 // Handled reports messages processed and application errors.
 func (c *SimController) Handled() (handled, appErrors uint64) { return c.handled, c.appErrors }
-
-// AdmissionStats reports packet_ins (and their bytes) refused by admission
-// control; both zero when it is disabled.
-func (c *SimController) AdmissionStats() (shed, shedBytes uint64) { return c.shed, c.shedBytes }
-
-// PacketInQueueDepth reports packet_ins admitted but not yet processed.
-func (c *SimController) PacketInQueueDepth() int { return c.piQueued }

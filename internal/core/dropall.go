@@ -41,10 +41,6 @@ func (m *FlowGranularity) WillRerequest(bufferID uint32) bool {
 	return ok
 }
 
-// WillRerequest implements Rerequester: only the flow rung re-requests;
-// packet-rung units dispatch to the packet mechanism, which has no timer.
-func (l *Ladder) WillRerequest(bufferID uint32) bool { return l.flow.WillRerequest(bufferID) }
-
 // DropAll implements AllDropper: every buffered packet is destroyed and the
 // units go back through the pool's reclamation path.
 func (m *PacketGranularity) DropAll(now time.Duration) BufferLoss {
@@ -78,15 +74,5 @@ func (m *FlowGranularity) DropAll(now time.Duration) BufferLoss {
 		}
 		_ = m.Drop(now, st.bufferID)
 	}
-	return loss
-}
-
-// DropAll implements AllDropper: both rungs share one pool, so the wipe
-// drains the flow mechanism's states first and whatever packet units
-// remain, then lets the hysteresis observe the empty pool.
-func (l *Ladder) DropAll(now time.Duration) BufferLoss {
-	loss := l.flow.DropAll(now)
-	loss.Add(l.pkt.DropAll(now))
-	l.evaluate(now)
 	return loss
 }

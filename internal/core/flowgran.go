@@ -93,21 +93,6 @@ func NewFlowGranularity(capacity, missSendLen int, rerequestTimeout time.Duratio
 	if err != nil {
 		return nil, err
 	}
-	return newFlowGranularityOn(pool, missSendLen, rerequestTimeout, maxPerFlow)
-}
-
-// newFlowGranularityOn builds the mechanism over an existing pool, so the
-// degradation ladder can share one pool across granularities.
-func newFlowGranularityOn(pool *Pool, missSendLen int, rerequestTimeout time.Duration, maxPerFlow int) (*FlowGranularity, error) {
-	if missSendLen <= 0 {
-		return nil, fmt.Errorf("core: miss_send_len must be positive, got %d", missSendLen)
-	}
-	if rerequestTimeout <= 0 {
-		return nil, fmt.Errorf("core: re-request timeout must be positive, got %v", rerequestTimeout)
-	}
-	if maxPerFlow < 0 {
-		return nil, fmt.Errorf("core: negative max packets per flow %d", maxPerFlow)
-	}
 	return &FlowGranularity{
 		pool:             pool,
 		missSendLen:      missSendLen,
@@ -146,9 +131,8 @@ func (*FlowGranularity) Granularity() openflow.BufferGranularity {
 // flowBufferID derives the flow's buffer_id from its 5-tuple, as the paper
 // specifies ("calculated based on the tuple of (src_ip, src_port, dst_ip,
 // dst_port, protocol)"), probing past ids already held by other live flows
-// and the NoBuffer sentinel. With a private pool, probing the pool's units
-// is redundant with byID; under the degradation ladder the pool is shared
-// with the packet-granularity path, whose units must be probed past too.
+// and the NoBuffer sentinel. The pool is private, so probing its units is
+// redundant with byID; it keeps the id fresh even if the two ever diverge.
 func (m *FlowGranularity) flowBufferID(key packet.FlowKey) uint32 {
 	h := fnv.New32a()
 	src := key.SrcIP.As4()

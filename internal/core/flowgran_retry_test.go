@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -133,72 +134,6 @@ func TestGiveUpDrainsQueueWithoutLeak(t *testing.T) {
 	}
 }
 
-// TestByteBudgetRejectionFallsBackThenGivesUpClean extends the give-up rule
-// to the byte-budgeted pool: once the budget (or the per-flow admission
-// threshold) rejects an append, the packet takes the full-payload fallback
-// path; when the flow later gives up, only the packets that were actually
-// admitted drain — in arrival order — and the pool ends with zero units and
-// zero bytes.
-func TestByteBudgetRejectionFallsBackThenGivesUpClean(t *testing.T) {
-	m, err := NewFlowGranularity(16, 128, 50*time.Millisecond, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetRetryPolicy(RetryPolicy{MaxRerequests: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Pool().SetByteBudget(1500); err != nil {
-		t.Fatal(err)
-	}
-	key := testKey(1)
-	if res := m.HandleMiss(0, 1, testData(0, 600), key); !res.Buffered {
-		t.Fatalf("first packet not buffered: %+v", res)
-	}
-	if res := m.HandleMiss(time.Millisecond, 1, testData(1, 600), key); !res.Buffered {
-		t.Fatalf("second packet not buffered: %+v", res)
-	}
-	// 1800 > 1500: the budget rejects this append; the packet must still
-	// reach the controller via the full-payload path.
-	res := m.HandleMiss(2*time.Millisecond, 1, testData(2, 600), key)
-	if !res.Fallback || res.PacketIn == nil || res.PacketIn.BufferID != openflow.NoBuffer {
-		t.Fatalf("over-budget packet = %+v, want full-payload fallback", res)
-	}
-	if !bytes.Equal(res.PacketIn.Data, testData(2, 600)) {
-		t.Error("fallback packet_in carries wrong payload")
-	}
-	if got := m.Pool().RejectedBytes(); got != 600 {
-		t.Errorf("RejectedBytes = %d, want 600", got)
-	}
-
-	// One re-request, then give-up: the two admitted packets drain in
-	// arrival order.
-	now := time.Duration(0)
-	next, _ := m.NextDeadline()
-	now = next
-	if out := m.Tick(now); len(out) != 1 {
-		t.Fatalf("re-request emitted %d packet_ins, want 1", len(out))
-	}
-	next, ok := m.NextDeadline()
-	if !ok {
-		t.Fatal("no give-up deadline scheduled")
-	}
-	out := m.Tick(next)
-	if len(out) != 2 {
-		t.Fatalf("give-up emitted %d packet_ins, want 2 (the admitted packets)", len(out))
-	}
-	for i, pi := range out {
-		if !bytes.Equal(pi.Data, testData(i, 600)) {
-			t.Errorf("drained packet %d out of arrival order", i)
-		}
-	}
-	if live := m.Pool().Live(); live != 0 {
-		t.Errorf("pool units leaked: %d", live)
-	}
-	if b := m.Pool().BytesInUse(); b != 0 {
-		t.Errorf("pool bytes leaked: %d", b)
-	}
-}
-
 // TestZeroPolicyRetriesForever pins backward compatibility: without a
 // policy the mechanism never gives up and the wait never grows.
 func TestZeroPolicyRetriesForever(t *testing.T) {
@@ -244,5 +179,68 @@ func TestNewMechanismAppliesRetryPolicy(t *testing.T) {
 	}
 	if p := fg.RetryPolicy(); p.MaxRerequests != 8 || p.BackoffPct != 200 {
 		t.Errorf("policy = %+v, want {8 200}", p)
+	}
+}
+
+// TestFlowGiveUpInterleavingsLeakNothing drives the flow mechanism with a
+// bounded retry policy through randomized miss/release/timer interleavings:
+// whatever order gives-ups, releases and expiry land in, the pool must
+// drain to zero units AND zero bytes.
+func TestFlowGiveUpInterleavingsLeakNothing(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m, err := NewFlowGranularity(16, 128, 10*time.Millisecond, 4, 40*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetRetryPolicy(RetryPolicy{MaxRerequests: 2, BackoffPct: 100}); err != nil {
+			t.Fatal(err)
+		}
+
+		now := time.Duration(0)
+		var buffered []uint32
+		for i := 0; i < 600; i++ {
+			now += time.Duration(rng.Intn(3000)) * time.Microsecond
+			switch rng.Intn(4) {
+			case 0, 1: // miss: reuse a few keys so flows grow multi-packet queues
+				res := m.HandleMiss(now, 1, testData(i, 400+rng.Intn(800)), testKey(rng.Intn(20)))
+				if res.Buffered && res.PacketIn != nil {
+					buffered = append(buffered, res.PacketIn.BufferID)
+				}
+			case 2: // controller answers a random outstanding flow
+				if len(buffered) > 0 {
+					j := rng.Intn(len(buffered))
+					_, _ = m.Release(now, buffered[j])
+					buffered = append(buffered[:j], buffered[j+1:]...)
+				}
+			case 3: // timers: re-requests, give-ups, expiry
+				if d, ok := m.NextDeadline(); ok && d <= now {
+					m.Tick(now)
+				}
+			}
+		}
+		// Drain: run every remaining deadline (give-ups and expiry fire), then
+		// one final far-future tick.
+		for guard := 0; ; guard++ {
+			if guard > 10000 {
+				t.Fatalf("seed %d: deadlines never drained", seed)
+			}
+			d, ok := m.NextDeadline()
+			if !ok {
+				break
+			}
+			now = d
+			m.Tick(now)
+		}
+		m.Tick(now + time.Hour)
+		if live := m.Pool().Live(); live != 0 {
+			t.Fatalf("seed %d: %d units leaked", seed, live)
+		}
+		if b := m.Pool().BytesInUse(); b != 0 {
+			t.Fatalf("seed %d: %d bytes leaked", seed, b)
+		}
+		if m.FlowsBuffered() != 0 {
+			t.Fatalf("seed %d: %d flow records leaked", seed, m.FlowsBuffered())
+		}
 	}
 }

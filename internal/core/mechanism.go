@@ -29,10 +29,6 @@ type MissResult struct {
 	// Fallback reports that buffering was attempted but the pool was
 	// exhausted, forcing the full-packet path.
 	Fallback bool
-	// Standalone tells the datapath to handle the packet locally through
-	// the fail-standalone L2-learning path instead of consulting the
-	// controller. Only the degradation ladder's last rung sets it.
-	Standalone bool
 }
 
 // Mechanism is the buffer behaviour the switch datapath drives. The

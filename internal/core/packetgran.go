@@ -43,15 +43,6 @@ func NewPacketGranularity(capacity, missSendLen int, expiry time.Duration) (*Pac
 	return &PacketGranularity{pool: pool, missSendLen: missSendLen}, nil
 }
 
-// newPacketGranularityOn builds the mechanism over an existing pool, so the
-// degradation ladder can share one pool across granularities.
-func newPacketGranularityOn(pool *Pool, missSendLen int) (*PacketGranularity, error) {
-	if missSendLen <= 0 {
-		return nil, fmt.Errorf("core: miss_send_len must be positive, got %d", missSendLen)
-	}
-	return &PacketGranularity{pool: pool, missSendLen: missSendLen}, nil
-}
-
 // Granularity implements Mechanism.
 func (*PacketGranularity) Granularity() openflow.BufferGranularity {
 	return openflow.GranularityPacket

@@ -47,15 +47,6 @@ var (
 	// ErrUnknownBufferID reports a release for an id not currently stored —
 	// the switch answers the controller with OFPBRC_BUFFER_UNKNOWN.
 	ErrUnknownBufferID = errors.New("core: unknown buffer id")
-	// ErrByteBudgetExhausted reports that admitting the packet would push
-	// the pool's buffered bytes past the configured byte budget. Like unit
-	// exhaustion, the datapath falls back to a full-payload packet_in.
-	ErrByteBudgetExhausted = errors.New("core: buffer byte budget exhausted")
-	// ErrFlowOverThreshold reports that one unit (one flow's queue) grew
-	// past the dynamic per-flow admission threshold α·(budget − in use).
-	// Only Append is gated by it, so an elephant flow throttles before it
-	// can starve other flows' first-packet Stores (BShare-style sharing).
-	ErrFlowOverThreshold = errors.New("core: flow queue over dynamic admission threshold")
 )
 
 // BufferedPacket is one packet stored inside a buffer unit.
@@ -82,11 +73,6 @@ type Pool struct {
 	expiry       time.Duration
 	reclaimDelay time.Duration
 
-	// Byte accounting (PR 5). Both knobs are zero-disabled so a pool
-	// without an overload config behaves exactly as before.
-	byteBudget int64   // admitted bytes cap; 0 = unlimited
-	admitFrac  float64 // BShare α for the per-flow threshold; 0 = disabled
-
 	units      map[uint32]*Unit
 	order      []uint32        // insertion order, for expiry scans
 	reclaiming []time.Duration // freeAt instants, non-decreasing
@@ -99,9 +85,8 @@ type Pool struct {
 	stored    uint64 // packets stored
 	released  uint64 // packets released
 	expired   uint64 // packets expired
-	rejected  uint64 // store/append attempts rejected (units or bytes)
-	rejBytes  uint64 // bytes turned away by budget/threshold rejections
-	thrRej    uint64 // rejections due to the dynamic per-flow threshold
+	rejected  uint64 // store attempts rejected for want of a free unit
+	rejBytes  uint64 // bytes those rejected stores carried
 }
 
 // NewPool creates a pool of capacity units. expiry bounds how long a unit
@@ -132,35 +117,6 @@ func (p *Pool) SetReclaimDelay(d time.Duration) {
 
 // ReclaimDelay reports the configured reclamation delay.
 func (p *Pool) ReclaimDelay() time.Duration { return p.reclaimDelay }
-
-// SetByteBudget bounds the bytes the pool may hold across all live units.
-// 0 disables byte accounting rejections (bytes are still tallied).
-// Configure before first use.
-func (p *Pool) SetByteBudget(n int64) error {
-	if n < 0 {
-		return fmt.Errorf("core: negative byte budget %d", n)
-	}
-	p.byteBudget = n
-	return nil
-}
-
-// ByteBudget reports the configured byte budget (0 = unlimited).
-func (p *Pool) ByteBudget() int64 { return p.byteBudget }
-
-// SetAdmitFraction configures the BShare-style dynamic per-flow threshold:
-// with fraction α > 0 an Append is rejected when the unit's queue would
-// exceed α·(budget − bytes in use). Requires a byte budget to be in effect.
-// 0 disables the threshold.
-func (p *Pool) SetAdmitFraction(f float64) error {
-	if f < 0 || f > 1 {
-		return fmt.Errorf("core: admit fraction %v outside [0,1]", f)
-	}
-	p.admitFrac = f
-	return nil
-}
-
-// AdmitFraction reports the configured dynamic-threshold fraction.
-func (p *Pool) AdmitFraction() float64 { return p.admitFrac }
 
 // Capacity reports the configured unit count.
 func (p *Pool) Capacity() int { return p.capacity }
@@ -215,11 +171,6 @@ func (p *Pool) store(now time.Duration, id uint32, explicit bool, inPort uint16,
 		p.rejBytes += uint64(len(data))
 		return nil, fmt.Errorf("%w: %d units occupied", ErrPoolExhausted, p.occupied())
 	}
-	if p.byteBudget > 0 && p.bytesLive+int64(len(data)) > p.byteBudget {
-		p.rejected++
-		p.rejBytes += uint64(len(data))
-		return nil, fmt.Errorf("%w: %d of %d bytes in use", ErrByteBudgetExhausted, p.bytesLive, p.byteBudget)
-	}
 	if explicit {
 		if id == openflow.NoBuffer {
 			return nil, fmt.Errorf("core: cannot store under reserved id NoBuffer")
@@ -265,26 +216,6 @@ func (p *Pool) Append(now time.Duration, id uint32, inPort uint16, data []byte) 
 	u, ok := p.units[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownBufferID, id)
-	}
-	if p.byteBudget > 0 {
-		if p.bytesLive+int64(len(data)) > p.byteBudget {
-			p.rejected++
-			p.rejBytes += uint64(len(data))
-			return fmt.Errorf("%w: %d of %d bytes in use", ErrByteBudgetExhausted, p.bytesLive, p.byteBudget)
-		}
-		// BShare dynamic threshold: a single flow's queue may only grow up
-		// to α·(free bytes). As the pool fills the threshold shrinks, so an
-		// elephant throttles itself while first-packet Stores (gated only by
-		// the total budget above) keep admitting new flows.
-		if p.admitFrac > 0 {
-			threshold := int64(p.admitFrac * float64(p.byteBudget-p.bytesLive))
-			if int64(u.Bytes)+int64(len(data)) > threshold {
-				p.rejected++
-				p.rejBytes += uint64(len(data))
-				p.thrRej++
-				return fmt.Errorf("%w: unit %d holds %d bytes, threshold %d", ErrFlowOverThreshold, id, u.Bytes, threshold)
-			}
-		}
 	}
 	u.Packets = append(u.Packets, BufferedPacket{Data: data, InPort: inPort, BufferedAt: now})
 	u.Bytes += len(data)
@@ -427,13 +358,8 @@ func (p *Pool) ByteOccupancyMean(now time.Duration) float64 {
 	return p.byteOcc.TimeAverage()
 }
 
-// RejectedBytes reports the bytes turned away by byte-budget or dynamic
-// threshold rejections (unit-exhaustion rejections count their bytes too).
+// RejectedBytes reports the bytes turned away by a full pool.
 func (p *Pool) RejectedBytes() uint64 { return p.rejBytes }
-
-// ThresholdRejections reports how many admissions the dynamic per-flow
-// threshold (as opposed to the total budget) refused.
-func (p *Pool) ThresholdRejections() uint64 { return p.thrRej }
 
 // Counters reports lifetime packet counts: stored, released, expired, and
 // store attempts rejected for exhaustion.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,16 +48,20 @@ func TestPoolStoreRelease(t *testing.T) {
 func TestPoolExhaustion(t *testing.T) {
 	p := mustPool(t, 2, 0)
 	for i := 0; i < 2; i++ {
-		if _, err := p.Store(0, 1, nil); err != nil {
+		if _, err := p.Store(0, 1, testData(i, 1000)); err != nil {
 			t.Fatalf("Store %d: %v", i, err)
 		}
 	}
-	if _, err := p.Store(0, 1, nil); !errors.Is(err, ErrPoolExhausted) {
+	if _, err := p.Store(0, 1, testData(2, 600)); !errors.Is(err, ErrPoolExhausted) {
 		t.Errorf("Store into full pool: %v, want ErrPoolExhausted", err)
 	}
 	_, _, _, rejected := p.Counters()
 	if rejected != 1 {
 		t.Errorf("rejected = %d, want 1", rejected)
+	}
+	if p.RejectedBytes() != 600 || p.BytesInUse() != 2000 || p.BytesHighWater() != 2000 {
+		t.Errorf("RejectedBytes/BytesInUse/BytesHighWater = %d/%d/%d, want 600/2000/2000",
+			p.RejectedBytes(), p.BytesInUse(), p.BytesHighWater())
 	}
 }
 
@@ -114,6 +119,28 @@ func TestPoolExpire(t *testing.T) {
 	_, _, expired, _ := p.Counters()
 	if expired != 1 {
 		t.Errorf("expired = %d, want 1", expired)
+	}
+}
+
+// TestPoolExpireBoundary pins the expiry instant: a unit lives for exactly
+// the pool's expiry, so it survives one nanosecond before that age and is
+// dropped at it.
+func TestPoolExpireBoundary(t *testing.T) {
+	const created, expiry = 3 * time.Millisecond, 10 * time.Millisecond
+	p := mustPool(t, 4, expiry)
+	u, err := p.Store(created, 1, []byte("pkt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped := p.Expire(created + expiry - time.Nanosecond); len(dropped) != 0 {
+		t.Fatalf("Expire one ns early dropped %d units", len(dropped))
+	}
+	dropped := p.Expire(created + expiry)
+	if len(dropped) != 1 || dropped[0].ID != u.ID {
+		t.Fatalf("Expire at the boundary dropped %d units, want the stored one", len(dropped))
+	}
+	if p.Live() != 0 {
+		t.Errorf("Live = %d after expiry, want 0", p.Live())
 	}
 }
 
@@ -228,16 +255,20 @@ func TestPoolLazyReclamation(t *testing.T) {
 	if p.ReclaimDelay() != 10*time.Millisecond {
 		t.Fatalf("ReclaimDelay = %v", p.ReclaimDelay())
 	}
-	u, err := p.Store(0, 1, nil)
+	u, err := p.Store(0, 1, testData(0, 1000))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Release(time.Millisecond, u.ID); err != nil {
 		t.Fatal(err)
 	}
-	// The slot stays occupied during the reclamation window.
+	// The slot stays occupied during the reclamation window; the bytes are
+	// freed at once, since reclamation models the slot, not the memory.
 	if got := p.InUse(5 * time.Millisecond); got != 1 {
 		t.Errorf("InUse during reclaim = %d, want 1", got)
+	}
+	if p.BytesInUse() != 0 || p.BytesHighWater() != 1000 {
+		t.Errorf("BytesInUse/BytesHighWater during reclaim = %d/%d, want 0/1000", p.BytesInUse(), p.BytesHighWater())
 	}
 	if p.Live() != 0 {
 		t.Errorf("Live during reclaim = %d, want 0", p.Live())
@@ -334,5 +365,68 @@ func TestPoolOrderBounded(t *testing.T) {
 	}
 	if p.Live() != 1 || u == nil {
 		t.Errorf("live = %d after post-compaction store", p.Live())
+	}
+}
+
+// TestPoolByteAccountingProperty drives randomized Store/Append/Release/
+// Expire interleavings and checks after every operation that the pool's
+// byte counter equals the sum over live units and drains to exactly zero
+// with the units.
+func TestPoolByteAccountingProperty(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := mustPool(t, 24, 50*time.Millisecond)
+		p.SetReclaimDelay(5 * time.Millisecond)
+
+		liveIDs := func() []uint32 {
+			ids := make([]uint32, 0, len(p.units))
+			for id := range p.units {
+				ids = append(ids, id)
+			}
+			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			return ids
+		}
+		check := func(op string) {
+			t.Helper()
+			var sum int64
+			for _, u := range p.units {
+				sum += int64(u.Bytes)
+			}
+			if p.BytesInUse() != sum {
+				t.Fatalf("seed %d after %s: BytesInUse = %d, live units sum %d", seed, op, p.BytesInUse(), sum)
+			}
+		}
+
+		now := time.Duration(0)
+		for i := 0; i < 2000; i++ {
+			now += time.Duration(rng.Intn(2000)) * time.Microsecond
+			switch rng.Intn(5) {
+			case 0, 1:
+				_, _ = p.Store(now, 1, testData(i, 200+rng.Intn(1200)))
+				check("store")
+			case 2:
+				if ids := liveIDs(); len(ids) > 0 {
+					_ = p.Append(now, ids[rng.Intn(len(ids))], 1, testData(i, 100+rng.Intn(500)))
+					check("append")
+				}
+			case 3:
+				if ids := liveIDs(); len(ids) > 0 {
+					_, _ = p.Release(now, ids[rng.Intn(len(ids))])
+					check("release")
+				}
+			case 4:
+				p.Expire(now)
+				check("expire")
+			}
+		}
+		// Drain: everything left expires.
+		now += time.Hour
+		p.Expire(now)
+		if p.Live() != 0 {
+			t.Fatalf("seed %d: %d units leaked after drain", seed, p.Live())
+		}
+		if p.BytesInUse() != 0 {
+			t.Fatalf("seed %d: %d bytes leaked after drain", seed, p.BytesInUse())
+		}
 	}
 }

@@ -185,7 +185,6 @@ func runTableMgmtCell(j tableMgmtJob, opts TableMgmtOptions) (tableMgmtCell, err
 	cfg.Forwarder.RequestFlowRemoved = true
 	cfg.Switch.Datapath.TableCapacity = j.capacity
 	cfg.Switch.Datapath.EvictionPolicy = j.policy
-	cfg.Switch.Datapath.TableLadder = true // no-op unless the series runs a Ladder
 	fopts := testbed.FabricOptions{Graph: g, Install: topo.InstallHopByHop}
 	if j.agg {
 		fopts.TableMgmt = &tablemgmt.Config{

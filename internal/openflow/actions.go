@@ -101,9 +101,7 @@ func (a *ActionSetDLDst) encodeAction(b []byte) {
 	copy(b[4:10], a.Addr[:])
 }
 
-// ActionSetNWTOS rewrites the IPv4 TOS/DSCP byte; the egress-scheduling
-// extension sketched in the paper's future work uses it to map flows onto
-// QoS classes.
+// ActionSetNWTOS rewrites the IPv4 TOS/DSCP byte.
 type ActionSetNWTOS struct {
 	TOS uint8
 }

@@ -20,10 +20,6 @@ const (
 	FlowBufSubtypeConfigReply  uint16 = 2
 	FlowBufSubtypeStatsRequest uint16 = 3
 	FlowBufSubtypeStatsReply   uint16 = 4
-	// FlowBufSubtypeBackpressure carries the controller's admission signal
-	// (controller-to-switch): level 1 asserts backpressure (the packet_in
-	// queue shed load), level 0 clears it.
-	FlowBufSubtypeBackpressure uint16 = 5
 )
 
 // Buffer granularity modes carried by FlowBufferConfig.
@@ -139,8 +135,7 @@ func EncodeFlowBufferConfig(c FlowBufferConfig) (*Vendor, error) {
 //
 // BytesInUse / BytesHighWater / RejectedBytes report the pool's byte
 // accounting (the paper's Fig. 10 utilization axis): current buffered
-// bytes, the peak, and bytes turned away by the byte budget or the dynamic
-// per-flow admission threshold.
+// bytes, the peak, and bytes turned away by a full pool.
 type FlowBufferStats struct {
 	UnitsInUse      uint32
 	UnitsCapacity   uint32
@@ -184,30 +179,12 @@ func EncodeFlowBufferStats(s FlowBufferStats) *Vendor {
 	return &Vendor{Vendor: VendorID, Data: data}
 }
 
-// BackpressureSignal is the controller's admission signal: Level > 0 means
-// the controller is shedding packet_ins and the switch should relieve
-// pressure (the degradation ladder treats it as saturation).
-type BackpressureSignal struct {
-	Level uint8
-}
-
-const flowBufferBackpressureLen = 4 + 4
-
-// EncodeBackpressure wraps the admission signal into a Vendor message.
-func EncodeBackpressure(level uint8) *Vendor {
-	data := make([]byte, flowBufferBackpressureLen)
-	binary.BigEndian.PutUint16(data[0:2], FlowBufSubtypeBackpressure)
-	data[4] = level
-	return &Vendor{Vendor: VendorID, Data: data}
-}
-
 // VendorPayload is the decoded form of one of this extension's messages:
 // exactly one field is non-nil.
 type VendorPayload struct {
 	Config       *FlowBufferConfig
 	StatsRequest bool
 	Stats        *FlowBufferStats
-	Backpressure *BackpressureSignal
 }
 
 // ErrForeignVendor reports a vendor message from a different experimenter.
@@ -266,11 +243,6 @@ func ParseVendor(v *Vendor) (*VendorPayload, error) {
 			s.RejectedBytes = binary.BigEndian.Uint64(v.Data[64:72])
 		}
 		return &VendorPayload{Stats: s}, nil
-	case FlowBufSubtypeBackpressure:
-		if len(v.Data) < flowBufferBackpressureLen {
-			return nil, fmt.Errorf("%w: backpressure payload %d bytes", ErrTruncated, len(v.Data))
-		}
-		return &VendorPayload{Backpressure: &BackpressureSignal{Level: v.Data[4]}}, nil
 	default:
 		return nil, fmt.Errorf("openflow: unknown flow buffer subtype %d", subtype)
 	}

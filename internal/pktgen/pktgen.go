@@ -276,55 +276,6 @@ func PoissonFlows(c Config, rng *rand.Rand, flows, meanPktsPerFlow int) (Schedul
 	return out, nil
 }
 
-// MissStorm builds the overload workload: flows distinct 5-tuples emitted
-// round-robin (f1p1, f2p1, …, fNp1, f1p2, …) so every flow stays
-// concurrently live at the switch for the whole run, each carrying
-// pktsPerFlow packets. When elephantPkts > pktsPerFlow, flow 0 is an
-// elephant that keeps sending after the mice finish — the shape that
-// exercises the byte-budget admission threshold (one fat flow must not
-// starve newly arriving flows out of the shared pool).
-func MissStorm(c Config, flows, pktsPerFlow, elephantPkts int) (Schedule, error) {
-	if err := c.validate(); err != nil {
-		return nil, err
-	}
-	if flows <= 0 || pktsPerFlow <= 0 {
-		return nil, fmt.Errorf("pktgen: flows/pktsPerFlow must be positive, got %d/%d", flows, pktsPerFlow)
-	}
-	if elephantPkts < 0 {
-		return nil, fmt.Errorf("pktgen: elephantPkts must be non-negative, got %d", elephantPkts)
-	}
-	counts := make([]int, flows)
-	total := 0
-	for i := range counts {
-		counts[i] = pktsPerFlow
-		total += pktsPerFlow
-	}
-	if elephantPkts > pktsPerFlow {
-		total += elephantPkts - counts[0]
-		counts[0] = elephantPkts
-	}
-	pc := c.pacer()
-	out := make(Schedule, 0, total)
-	seq := make([]int, flows)
-	at := time.Duration(0)
-	for emitted := 0; emitted < total; {
-		for f := 0; f < flows; f++ {
-			if seq[f] >= counts[f] {
-				continue
-			}
-			wire, key, err := buildFrame(&c, f, uint16(40000+f%20000), uint16(seq[f]))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, Emission{At: at, Frame: wire, FlowID: f, Seq: seq[f], Key: key})
-			seq[f]++
-			emitted++
-			at += pc.next()
-		}
-	}
-	return out, nil
-}
-
 // TCPFlowConfig describes a synthetic TCP flow for the §VI.B eviction
 // scenario: handshake, a first data burst, a pause (during which the
 // switch's flow table can evict the rule), then a second burst on the same

@@ -72,16 +72,6 @@ type Config struct {
 	BufferExpiry time.Duration
 	// FailMode selects control-channel-loss behavior (default FailSecure).
 	FailMode FailMode
-	// Overload, when non-nil, enables the overload-protection layer: pool
-	// byte accounting and (if Overload.Ladder is set) the automatic
-	// degradation ladder. nil keeps the legacy mechanism untouched.
-	Overload *core.OverloadConfig
-	// TableLadder couples flow-table occupancy into the degradation
-	// ladder: a saturated table (whose rejects and evictions re-raise
-	// misses the buffer must then absorb) counts as pressure the same way
-	// a saturated pool does. Requires Overload with a Ladder; off by
-	// default so table-unaware scenarios are untouched.
-	TableLadder bool
 }
 
 func (c *Config) withDefaults() Config {
@@ -107,9 +97,9 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Output is one frame to emit on a port. Queue selects the egress QoS
-// queue when the rule used an ENQUEUE action (0 = the port's default
-// queue).
+// Output is one frame to emit on a port. Queue is the ENQUEUE action's
+// queue id (0 = the port's default queue); the modeled ports have one FIFO
+// each, so nothing schedules on it.
 type Output struct {
 	Port  uint16
 	Frame []byte
@@ -201,15 +191,9 @@ func NewDatapath(cfg Config) (*Datapath, error) {
 	if err != nil {
 		return nil, fmt.Errorf("switchd: building flow table: %w", err)
 	}
-	var mech core.Mechanism
-	var err2 error
-	if cfg.Overload != nil {
-		mech, err2 = core.NewOverloadMechanism(cfg.Buffer, cfg.BufferCapacity, cfg.MissSendLen, cfg.BufferExpiry, *cfg.Overload)
-	} else {
-		mech, err2 = core.NewMechanism(cfg.Buffer, cfg.BufferCapacity, cfg.MissSendLen, cfg.BufferExpiry)
-	}
-	if err2 != nil {
-		return nil, fmt.Errorf("switchd: building buffer mechanism: %w", err2)
+	mech, err := core.NewMechanism(cfg.Buffer, cfg.BufferCapacity, cfg.MissSendLen, cfg.BufferExpiry)
+	if err != nil {
+		return nil, fmt.Errorf("switchd: building buffer mechanism: %w", err)
 	}
 	return &Datapath{
 		cfg:          cfg,
@@ -338,18 +322,6 @@ func (d *Datapath) HandleFrame(now time.Duration, inPort uint16, frame []byte) (
 		// and the re-request timer recovers the flow after restore.
 	}
 	d.missScratch = d.mech.HandleMiss(now, inPort, frame, parsed.Key())
-	if d.missScratch.Standalone {
-		// The degradation ladder's last rung: stop consulting the controller
-		// and handle the miss locally, reusing the fail-standalone path.
-		return d.standaloneForward(inPort, parsed, frame)
-	}
-	if d.macTable != nil && !d.controlDown {
-		// First normally-routed miss after the ladder stepped back down:
-		// discard overload-learned MACs so stale learning cannot shadow the
-		// controller's rules (outage-learned tables are cleared on restore
-		// by SetControlDown).
-		d.macTable = nil
-	}
 	d.resScratch = FrameResult{Miss: &d.missScratch}
 	return &d.resScratch, nil
 }
@@ -747,16 +719,6 @@ func (d *Datapath) TableMgmt() TableMgmtStats {
 		RemovedDelete: d.removedByReason[openflow.RemovedDelete],
 		RemovedEvict:  d.removedByReason[openflow.RemovedEviction],
 	}
-}
-
-// TablePressure reports the table's occupancy fraction (0 when unbounded)
-// — the input the degradation ladder couples on when the switch is
-// configured to treat table saturation like buffer saturation.
-func (d *Datapath) TablePressure() float64 {
-	if cap := d.table.Capacity(); cap > 0 {
-		return float64(d.table.Len()) / float64(cap)
-	}
-	return 0
 }
 
 // Stats reports datapath traffic counters.

@@ -241,6 +241,24 @@ func TestDatapathInPortOutput(t *testing.T) {
 	}
 }
 
+// TestDatapathEnqueueCarriesQueueID pins the ENQUEUE action: the frame
+// leaves on the action's port tagged with its queue id, while a plain
+// output uses the default queue 0.
+func TestDatapathEnqueueCarriesQueueID(t *testing.T) {
+	dp := newDP(t, openflow.GranularityNone, 16)
+	frame := testFrame(t, "10.1.0.1", 1000, 64)
+	outs, err := dp.applyActions(0, 1, frame, []openflow.Action{
+		&openflow.ActionEnqueue{Port: 2, QueueID: 7},
+		&openflow.ActionOutput{Port: 2},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(outs) != 2 || outs[0].Port != 2 || outs[0].Queue != 7 || outs[1].Port != 2 || outs[1].Queue != 0 {
+		t.Fatalf("enqueue outputs = %+v, want port 2 on queue 7, then queue 0", outs)
+	}
+}
+
 func TestDatapathRewriteActions(t *testing.T) {
 	dp := newDP(t, openflow.GranularityNone, 16)
 	frame := testFrame(t, "10.1.0.1", 1000, 64)
@@ -444,7 +462,7 @@ func TestDatapathStatsCounters(t *testing.T) {
 	}
 }
 
-// parseForTest exposes header parsing for qos tests.
+// parseForTest exposes header parsing to the agent timer tests.
 func parseForTest(frame []byte) (*packet.Frame, error) {
 	return packet.ParseHeaders(frame)
 }

@@ -189,9 +189,9 @@ func TestLiveFlowGranularityBurst(t *testing.T) {
 func TestLiveConcurrentInjectAgainstReadLoop(t *testing.T) {
 	buf := &openflow.FlowBufferConfig{Granularity: openflow.GranularityFlow, RerequestTimeoutMs: 1000}
 	lt := newLiveTestbed(t, buf, switchd.Config{
-		// A unit for every flow: a miss that found the pool empty would ride
-		// in its packet_in, and the server may shed the packet_out that
-		// carries it back, which nothing retries.
+		// A unit for every flow keeps every miss on the buffered path. A miss
+		// that found the pool empty would ride in its packet_in and come back
+		// in a payload-carrying packet_out, which the server never sheds.
 		DatapathID: 1, NumPorts: 2, TableCapacity: 16, BufferCapacity: 256,
 	})
 	deadline := time.Now().Add(5 * time.Second)

@@ -53,9 +53,6 @@ type SimConfig struct {
 	// cleanup frees it. This models the batched buffer expiry of a real
 	// software switch and produces the occupancy levels of Figs. 8/13.
 	ReclaimDelay time.Duration
-	// PacketInPacer bounds the packet_in rate toward the controller
-	// (overload protection). Zero value = no pacing.
-	PacketInPacer PacerConfig
 }
 
 // DefaultSimConfig returns the calibrated resource model.
@@ -90,12 +87,6 @@ func (c *SimConfig) validate() error {
 			return fmt.Errorf("switchd: negative cost in sim config")
 		}
 	}
-	if c.PacketInPacer.RatePerSec < 0 {
-		return fmt.Errorf("switchd: negative packet_in pacer rate %g", c.PacketInPacer.RatePerSec)
-	}
-	if c.PacketInPacer.Burst < 0 {
-		return fmt.Errorf("switchd: negative packet_in pacer burst %d", c.PacketInPacer.Burst)
-	}
 	return nil
 }
 
@@ -110,11 +101,8 @@ type SimSwitch struct {
 	cpu *sim.Resource
 	bus *netem.Link // shared forwarding-plane <-> CPU channel
 
-	sendCtrl   func(msg []byte)
-	transmit   func(port uint16, frame []byte)
-	transmitEx func(out Output)
-
-	pacer *packetInPacer // nil unless PacketInPacer is configured
+	sendCtrl func(msg []byte)
+	transmit func(port uint16, frame []byte)
 
 	nextXid     uint32
 	sentAt      map[uint32]time.Duration
@@ -173,9 +161,6 @@ func NewSimSwitch(k *sim.Kernel, cfg SimConfig) (*SimSwitch, error) {
 			m.Pool().SetReclaimDelay(cfg.ReclaimDelay)
 		}
 	}
-	if cfg.PacketInPacer.RatePerSec > 0 {
-		s.pacer = newPacketInPacer(cfg.PacketInPacer)
-	}
 	return s, nil
 }
 
@@ -210,10 +195,6 @@ func (s *SimSwitch) SetControlDown(down bool) { s.dp.SetControlDown(down) }
 // SetTransmit wires the data plane egress: fn is called for every frame the
 // switch puts on a port.
 func (s *SimSwitch) SetTransmit(fn func(port uint16, frame []byte)) { s.transmit = fn }
-
-// SetTransmitEx wires a queue-aware egress callback (for QoS testbeds that
-// feed an EgressScheduler). When set, it takes precedence over SetTransmit.
-func (s *SimSwitch) SetTransmitEx(fn func(out Output)) { s.transmitEx = fn }
 
 // Ingest is called when a frame arrives on a data port (the ingress link's
 // delivery callback).
@@ -299,19 +280,6 @@ func (s *SimSwitch) processFrame(arrived time.Duration, inPort uint16, frame []b
 	extra := time.Duration(0)
 	if miss.Buffered {
 		extra += s.cfg.BufferOpCost
-	}
-	if miss.PacketIn != nil && s.pacer != nil && !s.pacer.allow(now, len(miss.PacketIn.Data)) {
-		// Pacer refused the packet_in. A buffered packet stays buffered and
-		// recovers through the re-request timer; an unbuffered one is shed
-		// load — the cost of protecting the controller.
-		if s.tel != nil {
-			s.tel.Instant(telemetry.KindPacerDrop, now, 0, 0, uint32(len(miss.PacketIn.Data)))
-		}
-		if extra > 0 {
-			s.cpu.Submit(extra, nil)
-		}
-		s.armMechTimer()
-		return
 	}
 	if miss.PacketIn != nil {
 		s.nextXid++
@@ -455,22 +423,8 @@ func (s *SimSwitch) processControl(msg []byte) {
 	// reference to the action slice and released frames alias the packet_out
 	// data's backing array, neither of which shell recycling touches.
 	openflow.ReleaseMessage(m)
-	s.feedTableLadder()
 	s.armMechTimer()
 	s.armExpiryTimer()
-}
-
-// feedTableLadder couples flow-table occupancy into the degradation ladder
-// when the switch is configured for it (DESIGN.md §17). Called wherever the
-// table's population can have changed; armMechTimer must follow so any hold
-// deadline the evaluation armed gets scheduled.
-func (s *SimSwitch) feedTableLadder() {
-	if !s.dp.Config().TableLadder {
-		return
-	}
-	if lad, ok := s.dp.Mechanism().(*core.Ladder); ok {
-		lad.SetTablePressure(s.dp.TablePressure(), s.kernel.Now())
-	}
 }
 
 // finishControl emits the results of a flow_mod/packet_out: released
@@ -509,14 +463,6 @@ func (s *SimSwitch) handleVendor(v *openflow.Vendor, xid uint32) {
 		stats := s.dp.Mechanism().Stats(s.kernel.Now())
 		s.reply(openflow.EncodeFlowBufferStats(stats), xid)
 	}
-	if payload.Backpressure != nil {
-		// Controller admission signal: feed it into the degradation ladder
-		// (the caller re-arms the mechanism timer after processControl, so
-		// any hold deadline the signal arms gets scheduled).
-		if lad, ok := s.dp.Mechanism().(*core.Ladder); ok {
-			lad.SetBackpressure(payload.Backpressure.Level > 0, s.kernel.Now())
-		}
-	}
 	// Runtime reconfiguration (payload.Config) is a live-mode feature; the
 	// sim switch is configured at construction.
 }
@@ -534,10 +480,6 @@ func (s *SimSwitch) reply(m openflow.Message, xid uint32) {
 func (s *SimSwitch) emit(o Output) {
 	if s.tel != nil {
 		s.tel.Instant(telemetry.KindEgress, s.kernel.Now(), 0, uint32(o.Port), uint32(len(o.Frame)))
-	}
-	if s.transmitEx != nil {
-		s.transmitEx(o)
-		return
 	}
 	if s.transmit != nil {
 		s.transmit(o.Port, o.Frame)
@@ -561,12 +503,6 @@ func (s *SimSwitch) armMechTimer() {
 		s.mechTimer = nil
 		resend := s.dp.Mechanism().Tick(s.kernel.Now())
 		for _, pi := range resend {
-			if s.pacer != nil && !s.pacer.allow(s.kernel.Now(), len(pi.Data)) {
-				if s.tel != nil {
-					s.tel.Instant(telemetry.KindPacerDrop, s.kernel.Now(), 0, 0, uint32(len(pi.Data)))
-				}
-				continue
-			}
 			s.nextXid++
 			xid := s.nextXid
 			msg, err := openflow.Encode(pi, xid)
@@ -607,7 +543,6 @@ func (s *SimSwitch) armExpiryTimer() {
 				s.reply(fr, 0)
 			}
 		}
-		s.feedTableLadder()
 		s.armMechTimer()
 		s.armExpiryTimer()
 	})
@@ -630,12 +565,3 @@ func (s *SimSwitch) BusUtilizationPercent(now time.Duration) float64 {
 // Errors reports frames dropped for parse errors and control messages
 // dropped for protocol errors.
 func (s *SimSwitch) Errors() (parse, control uint64) { return s.parseErrors, s.ctrlErrors }
-
-// PacerDrops reports packet_in messages (and their payload bytes) refused
-// by the token-bucket pacer; both zero when pacing is disabled.
-func (s *SimSwitch) PacerDrops() (msgs, bytes uint64) {
-	if s.pacer == nil {
-		return 0, 0
-	}
-	return s.pacer.drops, s.pacer.dropBytes
-}

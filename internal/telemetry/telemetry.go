@@ -91,15 +91,6 @@ const (
 	// KindControllerCPU spans one controller-CPU job's service interval,
 	// fed by the sim resource trace hook.
 	KindControllerCPU
-	// KindDegrade marks a degradation-ladder rung change (instant; Ref
-	// packs the transition as from<<8|to).
-	KindDegrade
-	// KindPacerDrop marks a packet_in suppressed by the switch's
-	// token-bucket pacer (instant; Bytes is the message size).
-	KindPacerDrop
-	// KindPacketInShed marks a packet_in refused by the controller's
-	// bounded admission queue (instant; Bytes is the message size).
-	KindPacketInShed
 	// KindHopResidency spans a tracked frame's ingress at one fabric switch
 	// to its egress from the same switch (Ref is the path position).
 	KindHopResidency
@@ -139,9 +130,6 @@ var spanKindNames = [...]string{
 	KindFlowSetup:         "flow_setup",
 	KindSwitchCPU:         "switch_cpu",
 	KindControllerCPU:     "controller_cpu",
-	KindDegrade:           "degrade",
-	KindPacerDrop:         "pacer_drop",
-	KindPacketInShed:      "packet_in_shed",
 	KindHopResidency:      "hop_residency",
 	KindHopLink:           "hop_link",
 	KindFlowEvict:         "flow_evict",

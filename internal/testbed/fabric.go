@@ -241,16 +241,15 @@ type Fabric struct {
 
 // NewFabric assembles a fabric. The per-switch Config carries the same
 // resource models as the single-switch platform; a fabric of one line switch
-// is bit-identical to the Fig. 1 testbed. Chaos plans and the authority
-// proxy are single-switch features — fabric fault injection goes through
-// FabricOptions.CrashWindows.
+// is bit-identical to the Fig. 1 testbed. Chaos plans are a single-switch
+// feature — fabric fault injection goes through FabricOptions.CrashWindows.
 func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Chaos != nil || cfg.UseAuthorityProxy {
-		return nil, fmt.Errorf("testbed: fabric does not support chaos plans or the authority proxy")
+	if cfg.Chaos != nil {
+		return nil, fmt.Errorf("testbed: fabric does not support chaos plans")
 	}
 	opts, err = opts.withDefaults()
 	if err != nil {
@@ -744,9 +743,6 @@ func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
 	}
 	for _, ctl := range fb.ctls {
 		res.ControllerUsagePercent += ctl.CPUUtilizationPercent()
-		shed, shedBytes := ctl.AdmissionStats()
-		res.CtrlShedPacketIns += shed
-		res.CtrlShedBytes += shedBytes
 	}
 	res.ControllerUsagePercent /= float64(len(fb.ctls))
 	for _, app := range fb.apps {
@@ -783,9 +779,6 @@ func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
 			res.BufferRejectedBytes += pm.Pool().RejectedBytes()
 			res.BufferBytesLeaked += pm.Pool().BytesInUse()
 		}
-		drops, dropBytes := sw.PacerDrops()
-		res.PacerDrops += drops
-		res.PacerDropBytes += dropBytes
 		sf, cdm := sw.Datapath().FailStats()
 		res.StandaloneForwards += sf
 		res.ControlDownMisses += cdm

@@ -63,13 +63,6 @@ type Config struct {
 	// ControlLossRate in force (the impairment merge rule), so outage or
 	// reorder scenarios compose with the legacy loss knob.
 	Chaos *chaos.Plan
-	// UseAuthorityProxy interposes a DevoFlow/DIFANE-style authority device
-	// on the control path (the related-work approach of §II): it answers
-	// misses for already-seen destinations from cloned rules and escalates
-	// the rest. ProxyCost is its per-message processing demand (default
-	// 30 µs).
-	UseAuthorityProxy bool
-	ProxyCost         time.Duration
 	// Forwarder configures the reactive forwarding app. When Routes is
 	// empty, the Fig. 1 default is installed: 10.0.0.0/24 via Host2's port,
 	// 10.1.0.0/16 (the forged pktgen sources) via Host1's port.
@@ -185,23 +178,8 @@ type Result struct {
 	CtrlDropped        int64
 	CtrlCrashed        int64
 
-	// Overload bookkeeping (all zero unless overload protection is
-	// configured and under pressure).
-	//
-	// PacerDrops counts packet_ins refused by the switch-side token bucket;
-	// CtrlShedPacketIns counts packet_ins shed at the controller's admission
-	// queue. Ladder fields mirror the degradation ladder: the deepest rung
-	// reached, the rung at quiescence (must equal zero — flow granularity —
-	// after pressure subsides), and the transition count. Byte fields mirror
-	// the pool's byte accounting; BufferBytesLeaked is the pool's byte
-	// occupancy at quiescence and must be zero.
-	PacerDrops           uint64
-	PacerDropBytes       uint64
-	CtrlShedPacketIns    uint64
-	CtrlShedBytes        uint64
-	LadderMaxLevel       uint8
-	LadderLevelEnd       uint8
-	LadderTransitions    int
+	// Byte fields mirror the pool's byte accounting; BufferBytesLeaked is
+	// the pool's byte occupancy at quiescence and must be zero.
 	BufferBytesHighWater uint64
 	BufferRejectedBytes  uint64
 	BufferBytesLeaked    int64
@@ -237,9 +215,6 @@ type Testbed struct {
 	swToH1 *netem.Link
 	h2ToSw *netem.Link
 	swToH2 *netem.Link
-
-	proxy         *AuthorityProxy
-	upstreamChans *capture.ControlChannel // proxy<->controller leg, when proxied
 
 	inj *chaos.Injector // nil without controller faults
 
@@ -376,43 +351,12 @@ func New(cfg Config) (*Testbed, error) {
 		return deliver
 	}
 
-	if cfg.UseAuthorityProxy {
-		cost := cfg.ProxyCost
-		if cost == 0 {
-			cost = 30 * time.Microsecond
-		}
-		proxy := NewAuthorityProxy(k, cost)
-		proxyUp, err := mkLink("proxy->ctl", cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
-		if err != nil {
-			return nil, err
-		}
-		proxyDown, err := mkLink("ctl->proxy", cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
-		if err != nil {
-			return nil, err
-		}
-		tb.upstreamChans = capture.NewControlChannel(proxyUp, proxyDown)
-		// switch -> ctrlUp -> proxy -> proxyUp -> controller, and back.
-		sw.SetControlSender(func(msg []byte) {
-			ctrlUp.Send(msg, func() { proxy.DeliverFromSwitch(msg) })
-		})
-		proxy.SetUpstream(func(msg []byte) {
-			proxyUp.Send(msg, deliverToController(msg))
-		})
-		ctl.SetSwitchSender(func(msg []byte) {
-			proxyDown.Send(msg, func() { proxy.DeliverFromController(msg) })
-		})
-		proxy.SetDownstream(func(msg []byte) {
-			ctrlDown.Send(msg, func() { sw.DeliverControl(msg) })
-		})
-		tb.proxy = proxy
-	} else {
-		sw.SetControlSender(func(msg []byte) {
-			ctrlUp.Send(msg, deliverToController(msg))
-		})
-		ctl.SetSwitchSender(func(msg []byte) {
-			ctrlDown.Send(msg, func() { sw.DeliverControl(msg) })
-		})
-	}
+	sw.SetControlSender(func(msg []byte) {
+		ctrlUp.Send(msg, deliverToController(msg))
+	})
+	ctl.SetSwitchSender(func(msg []byte) {
+		ctrlDown.Send(msg, func() { sw.DeliverControl(msg) })
+	})
 	sw.SetTransmit(tb.onSwitchTransmit)
 	return tb, nil
 }
@@ -437,14 +381,6 @@ func (tb *Testbed) Telemetry() *telemetry.Recorder { return tb.tel }
 // Injector exposes the controller-side fault injector (nil unless the chaos
 // plan configures controller faults).
 func (tb *Testbed) Injector() *chaos.Injector { return tb.inj }
-
-// UpstreamCapture exposes the proxy-to-controller sniffers (nil without
-// UseAuthorityProxy). The gap between Capture and UpstreamCapture is the
-// traffic the authority device absorbed.
-func (tb *Testbed) UpstreamCapture() *capture.ControlChannel { return tb.upstreamChans }
-
-// Proxy exposes the authority proxy (nil without UseAuthorityProxy).
-func (tb *Testbed) Proxy() *AuthorityProxy { return tb.proxy }
 
 // onSwitchTransmit observes every frame leaving the switch and forwards it
 // onto the proper egress link. The tap doubles as the exactly-once-in-order
@@ -592,13 +528,6 @@ func (tb *Testbed) collect(sched pktgen.Schedule) *Result {
 		res.BufferRejectedBytes = pm.Pool().RejectedBytes()
 		res.BufferBytesLeaked = pm.Pool().BytesInUse()
 	}
-	if lad, ok := mech.(*core.Ladder); ok {
-		res.LadderMaxLevel = uint8(lad.MaxLevel())
-		res.LadderLevelEnd = uint8(lad.Level())
-		res.LadderTransitions = len(lad.Transitions())
-	}
-	res.PacerDrops, res.PacerDropBytes = tb.sw.PacerDrops()
-	res.CtrlShedPacketIns, res.CtrlShedBytes = tb.ctl.AdmissionStats()
 	res.DupEmissions = tb.dups
 	res.OrderViolations = tb.misorders
 	res.StandaloneForwards, res.ControlDownMisses = tb.sw.Datapath().FailStats()

@@ -82,11 +82,6 @@ type Platform struct {
 	// ControlLossRate drops each control message with this probability,
 	// exercising the flow-granularity re-request timer.
 	ControlLossRate float64
-	// AuthorityProxy interposes a DevoFlow/DIFANE-style authority device on
-	// the control path (§II related work), to measure how the buffer
-	// supplements it: the proxy cuts requests reaching the controller, the
-	// buffer cuts the requests' size and count at the switch.
-	AuthorityProxy bool
 }
 
 func (p Platform) config() (testbed.Config, error) {
@@ -112,7 +107,6 @@ func (p Platform) config() (testbed.Config, error) {
 	cfg.Switch.Datapath.TableCapacity = p.FlowTableCapacity
 	cfg.Forwarder.IdleTimeout = p.RuleIdleTimeout
 	cfg.ControlLossRate = p.ControlLossRate
-	cfg.UseAuthorityProxy = p.AuthorityProxy
 	return cfg, nil
 }
 

@@ -131,9 +131,6 @@ func TestRunLineFacade(t *testing.T) {
 	if _, err := RunLine(Platform{Mode: ModeNoBuffer}, 2, Workload{}); err == nil {
 		t.Error("accepted empty workload")
 	}
-	if _, err := RunLine(Platform{Mode: ModeNoBuffer, AuthorityProxy: true}, 2, SinglePacketFlows(40, 10)); err == nil {
-		t.Error("accepted the authority proxy, which only the single-switch platform has")
-	}
 }
 
 // TestRunLineIsFabricLine pins RunLine to the fabric path it is built on:
