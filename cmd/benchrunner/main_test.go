@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,8 +71,15 @@ func TestRunRejectsBadFlags(t *testing.T) {
 // runScenarioCSV drives the -scenario CLI path and returns the CSV bytes.
 func runScenarioCSV(t *testing.T, scenario string, extra ...string) []byte {
 	t.Helper()
+	return runQuickCSV(t, append([]string{"-scenario", scenario}, extra...)...)
+}
+
+// runQuickCSV drives a -quick run (the 16-figure sweep unless args pick a
+// scenario) and returns the CSV bytes.
+func runQuickCSV(t *testing.T, extra ...string) []byte {
+	t.Helper()
 	csv := filepath.Join(t.TempDir(), "out.csv")
-	args := append([]string{"-scenario", scenario, "-quick", "-csv", csv}, extra...)
+	args := append([]string{"-quick", "-csv", csv}, extra...)
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
@@ -85,10 +94,31 @@ func runScenarioCSV(t *testing.T, scenario string, extra ...string) []byte {
 	return b
 }
 
-// TestScenarioCSVDeterminism extends the determinism gate to every
-// -scenario sweep: the -quick CSV must be byte-identical at -parallel 1 and
-// 4 (outage ignores -parallel, so this runs it twice) and start with the
-// scenario's header.
+// quickDigests reads testdata/quick.sha256 (sha256sum format) into a map
+// from file name to hex digest.
+func quickDigests(t *testing.T) map[string]string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "quick.sha256"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed digest line %q", line)
+		}
+		digests[name] = sum
+	}
+	return digests
+}
+
+// TestScenarioCSVDeterminism is the byte-identity fence over the 16-figure
+// sweep and every -scenario sweep: the -quick CSV must be byte-identical at
+// -parallel 1 and 4 (outage ignores -parallel, so this runs it twice), start
+// with the sweep's header, and hash to the digest pinned in
+// testdata/quick.sha256. A change that moves any figure or scenario byte
+// fails here; regenerate the digests only for an intended model change.
 func TestScenarioCSVDeterminism(t *testing.T) {
 	headers := map[string]string{
 		"resilience":    "series,loss_rate,",
@@ -101,20 +131,41 @@ func TestScenarioCSVDeterminism(t *testing.T) {
 	if len(headers) != len(scenarios) {
 		t.Errorf("%d headers pinned for %d scenarios", len(headers), len(scenarios))
 	}
+	digests := quickDigests(t)
+	if len(digests) != len(scenarios)+1 {
+		t.Errorf("%d digests pinned for %d scenarios and the figures", len(digests), len(scenarios))
+	}
+	check := func(t *testing.T, name, header string, csv func(...string) []byte) {
+		serial := csv("-parallel", "1")
+		parallel := csv("-parallel", "4")
+		if !bytes.Equal(serial, parallel) {
+			t.Errorf("CSV differs serial vs parallel:\n%s\nvs\n%s", serial, parallel)
+		}
+		if !strings.HasPrefix(string(serial), header) {
+			t.Errorf("CSV header %q missing: %q", header, string(serial[:min(len(serial), 40)]))
+		}
+		want, ok := digests[name+".csv"]
+		if !ok {
+			t.Fatalf("no digest pinned for %s.csv", name)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(serial)); got != want {
+			t.Errorf("%s.csv sha256 = %s, pinned %s", name, got, want)
+		}
+	}
+	t.Run("figures", func(t *testing.T) {
+		check(t, "figs", "experiment,series,", func(extra ...string) []byte {
+			return runQuickCSV(t, extra...)
+		})
+	})
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			header, ok := headers[sc.name]
 			if !ok {
 				t.Fatalf("no header pinned for scenario %q", sc.name)
 			}
-			serial := runScenarioCSV(t, sc.name, "-parallel", "1")
-			parallel := runScenarioCSV(t, sc.name, "-parallel", "4")
-			if !bytes.Equal(serial, parallel) {
-				t.Errorf("CSV differs serial vs parallel:\n%s\nvs\n%s", serial, parallel)
-			}
-			if !strings.HasPrefix(string(serial), header) {
-				t.Errorf("CSV header %q missing: %q", header, string(serial[:min(len(serial), 40)]))
-			}
+			check(t, sc.name, header, func(extra ...string) []byte {
+				return runScenarioCSV(t, sc.name, extra...)
+			})
 		})
 	}
 	var stdout, stderr bytes.Buffer
