@@ -391,7 +391,7 @@ func runLoadWith(b *testing.B, cfg testbed.Config) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := pktgen.SinglePacketFlows(basePktgen(50, singleSwitchDst), 300)
+	sched, err := pktgen.SinglePacketFlows(basePktgen(50, netip.MustParseAddr("10.0.0.2")), 300)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -410,7 +410,7 @@ func runDownLoadWith(b *testing.B, cfg testbed.Config) float64 {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sched, err := pktgen.InterleavedBursts(basePktgen(50, singleSwitchDst), 20, 10, 5)
+	sched, err := pktgen.InterleavedBursts(basePktgen(50, netip.MustParseAddr("10.0.0.2")), 20, 10, 5)
 	if err != nil {
 		b.Fatal(err)
 	}

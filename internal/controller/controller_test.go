@@ -219,7 +219,7 @@ func TestSimControllerAnswersPacketIn(t *testing.T) {
 	}
 	var sent []openflow.Message
 	var sentXids []uint32
-	ctl.SetSwitchSender(func(msg []byte) {
+	_, deliver := ctl.AttachConn(func(msg []byte) {
 		m, xid, err := openflow.Decode(msg)
 		if err != nil {
 			t.Fatalf("controller emitted garbage: %v", err)
@@ -228,7 +228,7 @@ func TestSimControllerAnswersPacketIn(t *testing.T) {
 		sentXids = append(sentXids, xid)
 	})
 	pi := openflow.MustEncode(testPacketIn(t, 42, 128), 77)
-	ctl.Deliver(pi)
+	deliver(pi)
 	k.Run()
 	if len(sent) != 2 {
 		t.Fatalf("sent = %d messages, want 2", len(sent))
@@ -255,13 +255,13 @@ func TestSimControllerEchoAndHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	var types []openflow.MsgType
-	ctl.SetSwitchSender(func(msg []byte) {
+	_, deliver := ctl.AttachConn(func(msg []byte) {
 		m, _, _ := openflow.Decode(msg)
 		types = append(types, m.Type())
 	})
-	ctl.Deliver(openflow.MustEncode(&openflow.EchoRequest{Data: []byte("hi")}, 1))
-	ctl.Deliver(openflow.MustEncode(&openflow.Hello{}, 2))
-	ctl.Deliver(openflow.MustEncode(&openflow.BarrierReply{}, 3)) // consumed silently
+	deliver(openflow.MustEncode(&openflow.EchoRequest{Data: []byte("hi")}, 1))
+	deliver(openflow.MustEncode(&openflow.Hello{}, 2))
+	deliver(openflow.MustEncode(&openflow.BarrierReply{}, 3)) // consumed silently
 	k.Run()
 	// Replies to independent requests may complete in either order on a
 	// multi-core controller; check the set.
@@ -281,7 +281,8 @@ func TestSimControllerGarbageCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Deliver([]byte{9, 9, 9})
+	_, deliver := ctl.AttachConn(nil)
+	deliver([]byte{9, 9, 9})
 	k.Run()
 	if _, e := ctl.Handled(); e != 1 {
 		t.Errorf("errors = %d, want 1", e)
@@ -313,8 +314,8 @@ func TestSimControllerProcessingDelayScalesWithSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		var done time.Duration
-		ctl.SetSwitchSender(func(msg []byte) { done = k.Now() })
-		ctl.Deliver(openflow.MustEncode(testPacketIn(t, bufferID, truncate), 1))
+		_, deliver := ctl.AttachConn(func(msg []byte) { done = k.Now() })
+		deliver(openflow.MustEncode(testPacketIn(t, bufferID, truncate), 1))
 		k.Run()
 		return done
 	}

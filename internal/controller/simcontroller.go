@@ -31,8 +31,8 @@ type SimController struct {
 	app    App
 	cpu    *sim.Resource
 
-	// senders holds one downlink per attached switch; slot 0 is the
-	// default connection used by SetSwitchSender/Deliver.
+	// senders holds one downlink per attached switch connection, indexed by
+	// the connection number AttachConn hands out.
 	senders []func(msg []byte)
 
 	handled   uint64
@@ -54,18 +54,12 @@ func NewSimController(k *sim.Kernel, cfg SimConfig, app App) (*SimController, er
 		return nil, fmt.Errorf("controller: nil app")
 	}
 	return &SimController{
-		kernel:  k,
-		cfg:     cfg,
-		app:     app,
-		cpu:     sim.NewResource(k, "controller-cpu", cfg.CPUCores),
-		senders: make([]func(msg []byte), 1),
+		kernel: k,
+		cfg:    cfg,
+		app:    app,
+		cpu:    sim.NewResource(k, "controller-cpu", cfg.CPUCores),
 	}, nil
 }
-
-// SetSwitchSender wires the default downlink: fn is called with each
-// encoded control message to put on the control link toward the switch.
-// Multi-switch testbeds use Attach instead.
-func (c *SimController) SetSwitchSender(fn func(msg []byte)) { c.senders[0] = fn }
 
 // SetTelemetry wires the packet-lifecycle recorder: the controller emits a
 // controller-service span per message it answers, covering CPU queueing,
@@ -83,27 +77,19 @@ func (c *SimController) SetTelemetry(rec *telemetry.Recorder) {
 	})
 }
 
-// Attach registers an additional switch connection and returns the Deliver
-// function for its uplink. All attached switches share the controller's CPU
-// — one Floodlight process serving a multi-switch topology.
-func (c *SimController) Attach(send func(msg []byte)) func(msg []byte) {
-	_, deliver := c.AttachConn(send)
-	return deliver
-}
-
-// AttachConn is Attach exposing the connection index alongside the deliver
-// function, so fabric testbeds can tell a ConnApp which switch each
-// connection belongs to.
+// AttachConn registers a switch connection: send is the downlink, called
+// with each encoded control message to put on the control link toward the
+// switch (nil discards replies). It returns the connection index, so a
+// fabric can tell a ConnApp which switch the connection belongs to, and the
+// deliver function the uplink calls for each arriving message; processing
+// cost is charged on the controller CPU before the application runs. All
+// attached switches share the controller's CPU — one Floodlight process
+// serving a multi-switch topology.
 func (c *SimController) AttachConn(send func(msg []byte)) (int, func(msg []byte)) {
 	c.senders = append(c.senders, send)
 	conn := len(c.senders) - 1
 	return conn, func(msg []byte) { c.deliverFrom(conn, msg) }
 }
-
-// Deliver is called when a control message arrives from the default switch
-// (the control link's delivery callback). Processing cost is charged on the
-// controller CPU before the application runs.
-func (c *SimController) Deliver(msg []byte) { c.deliverFrom(0, msg) }
 
 func (c *SimController) deliverFrom(conn int, msg []byte) {
 	// The cost depends on the response size too, which is unknown until the
@@ -216,27 +202,27 @@ func (c *SimController) sendAll(conn int, replies []openflow.Message, xid uint32
 }
 
 // sendDirected is sendAll for ConnApp decisions: every reply of one
-// decision is appended into a single backing buffer (the zero-alloc
-// AppendEncode batch path) and shipped by one egress CPU job, whatever mix
-// of connections the replies target. This is what makes path installation a
-// batch: the whole route's flow_mods cost one controller wakeup and leave
-// back-to-back.
+// decision is appended into a single backing buffer, sized up front from the
+// encoded lengths (the AppendEncode batch path), and shipped by one egress
+// CPU job, whatever mix of connections the replies target. This is what
+// makes path installation a batch: the whole route's flow_mods cost one
+// controller wakeup and leave back-to-back.
 func (c *SimController) sendDirected(replies []Directed, xid uint32, arrived time.Duration) {
 	if len(replies) == 0 {
 		return
 	}
-	buf := make([]byte, 0, 64*len(replies))
-	offs := make([]int, len(replies)+1)
-	for i, r := range replies {
+	total := 0
+	for _, r := range replies {
+		total += openflow.EncodedLen(r.Msg)
+	}
+	buf := make([]byte, 0, total)
+	for _, r := range replies {
 		var err error
-		buf, err = openflow.AppendEncode(buf, r.Msg, xid)
-		if err != nil {
+		if buf, err = openflow.AppendEncode(buf, r.Msg, xid); err != nil {
 			c.appErrors++
 			return
 		}
-		offs[i+1] = len(buf)
 	}
-	total := len(buf)
 	outCost := c.cfg.Cost.Cost(0, total) - c.cfg.Cost.Base // egress share only
 	if outCost < 0 {
 		outCost = 0
@@ -245,13 +231,16 @@ func (c *SimController) sendDirected(replies []Directed, xid uint32, arrived tim
 		if c.tel != nil {
 			c.tel.Span(telemetry.KindControllerService, arrived, c.kernel.Now(), 0, xid, uint32(total))
 		}
-		for i, r := range replies {
+		off := 0
+		for _, r := range replies {
+			msg := buf[off : off+openflow.EncodedLen(r.Msg)]
+			off += len(msg)
 			if r.Conn < 0 || r.Conn >= len(c.senders) {
 				c.appErrors++
 				continue
 			}
 			if sender := c.senders[r.Conn]; sender != nil {
-				sender(buf[offs[i]:offs[i+1]])
+				sender(msg)
 			}
 		}
 	})

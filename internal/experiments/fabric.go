@@ -15,7 +15,7 @@ import (
 // FabricOptions scale the fabric sweep: topology × buffer mechanism ×
 // install mode × shard count, each cell repeated across seeds, plus one
 // at-scale run (≥1000 switches) appended as its own row. The zero value is
-// filled with the defaults BENCH_fabric.json quotes.
+// filled with the full-grid defaults, whose CSV digest CI pins.
 type FabricOptions struct {
 	// Topos are the topology specs swept (topo.ParseSpec syntax; defaults
 	// cover a 2- and 4-hop line, a leaf-spine and a three-tier fat-tree).

@@ -28,8 +28,8 @@ const (
 // repeated across seeds. Topologies must offer a detour around the killed
 // element (the defaults are leaf-spines with a spare spine); the failure
 // window sits a third of the way into the schedule so traffic straddles
-// it. The zero value is filled with the defaults BENCH_survivability.json
-// quotes.
+// it. The zero value is filled with the full-grid defaults, whose CSV
+// digest CI pins.
 type SurvivabilityOptions struct {
 	// Topos are the topology specs swept (topo.ParseSpec syntax).
 	Topos []string

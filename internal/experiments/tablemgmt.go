@@ -21,7 +21,7 @@ import (
 // saturate: the sweep shows how a full table amplifies misses — and hence
 // buffer pressure and controller load — and how much eviction choice and
 // destination-prefix aggregation claw back. The zero value is filled with
-// the defaults BENCH_tablemgmt.json quotes.
+// the full-grid defaults, whose CSV digest CI pins.
 type TableMgmtOptions struct {
 	// Topos are the topology specs swept (topo.ParseSpec syntax).
 	Topos []string

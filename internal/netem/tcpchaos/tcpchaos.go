@@ -299,29 +299,32 @@ func (p *Proxy) mangle(rng *rand.Rand, dst net.Conn, chunk []byte) bool {
 		case draw < prof.Reset+prof.Truncate && len(chunk) > 1:
 			cut := 1 + rng.Intn(len(chunk)-1) // strict prefix
 			p.truncations.Add(1)
-			if n, err := dst.Write(chunk[:cut]); err == nil {
-				p.bytesForward.Add(uint64(n))
-			}
+			_ = p.forward(dst, chunk[:cut]) // the connection dies either way
 			return false
 		case draw < prof.Reset+prof.Truncate+prof.PartialWrite && len(chunk) > 1:
 			cut := 1 + rng.Intn(len(chunk)-1)
 			p.partialWrites.Add(1)
-			n, err := dst.Write(chunk[:cut])
-			if err != nil {
+			if err := p.forward(dst, chunk[:cut]); err != nil {
 				return false
 			}
-			p.bytesForward.Add(uint64(n))
 			chunk = chunk[cut:] // redraw for the remainder
 		default:
-			n, err := dst.Write(chunk)
-			if err != nil {
-				return false
-			}
-			p.bytesForward.Add(uint64(n))
-			return true
+			return p.forward(dst, chunk) == nil
 		}
 	}
 	return true
+}
+
+// forward writes b to dst. The bytes count as forwarded before the write,
+// so Stats never lags what the peer has already read; whatever the write
+// did not deliver is taken back when it returns.
+func (p *Proxy) forward(dst net.Conn, b []byte) error {
+	p.bytesForward.Add(uint64(len(b)))
+	n, err := dst.Write(b)
+	if n < len(b) {
+		p.bytesForward.Add(^uint64(len(b) - n - 1)) // subtract len(b)-n
+	}
+	return err
 }
 
 // Forward is a convenience no-fault profile for control runs.

@@ -227,3 +227,65 @@ func TestChaosSoak(t *testing.T) {
 			seed, res.FramesSent, res.FramesDelivered, res.Rerequests, res.CtrlStalled)
 	}
 }
+
+// TestChaosOnMultiSwitchFabric runs a chaos plan on multi-switch fabrics:
+// 5% loss on every control link, one controller stall window (one injector
+// per shard) and one switch outage (every datapath in its fail mode). The
+// exactly-once, in-order, leak-free oracle of the single-switch chaos tests
+// must hold across every hop, every shard's injector must have parked
+// requests, and every switch must have missed while its control was down.
+func TestChaosOnMultiSwitchFabric(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		shards int
+	}{
+		{"line:3", 1},
+		{"leafspine:leaves=2,spines=1", 2},
+	} {
+		g := buildGraph(t, tc.spec)
+		plan := chaos.SymmetricLoss(0.05)
+		// The outage catches the first group's misses on every hop; the
+		// stall catches the second group's and the outage's re-requests.
+		plan.SwitchOutages = []netem.Window{{Start: 3 * time.Millisecond, End: 10 * time.Millisecond}}
+		plan.Controller.Stalls = []netem.Window{{Start: 48 * time.Millisecond, End: 58 * time.Millisecond}}
+		fb, err := NewFabric(chaosConfig(1, plan), FabricOptions{Graph: g, Shards: tc.shards})
+		if err != nil {
+			t.Fatalf("%s: NewFabric: %v", tc.spec, err)
+		}
+		// Groups of 30 interleaved flows spread each group's first packets
+		// over ~5 ms, so flows are at every hop when the outage begins.
+		sched, err := pktgen.InterleavedBursts(fabricPktgen(g, 50, 1), 60, 10, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := fb.Run(sched)
+		if err != nil {
+			t.Fatalf("%s: Run: %v", tc.spec, err)
+		}
+		if res.FramesDelivered != int64(res.FramesSent) {
+			t.Errorf("%s: delivered %d of %d", tc.spec, res.FramesDelivered, res.FramesSent)
+		}
+		if res.DupEmissions != 0 || res.OrderViolations != 0 || res.BufferUnitsLeaked != 0 || res.BufferBytesLeaked != 0 {
+			t.Errorf("%s: dups=%d misorders=%d leaked=%d units/%d bytes", tc.spec,
+				res.DupEmissions, res.OrderViolations, res.BufferUnitsLeaked, res.BufferBytesLeaked)
+		}
+		if len(fb.injs) != tc.shards {
+			t.Fatalf("%s: %d injectors for %d shards", tc.spec, len(fb.injs), tc.shards)
+		}
+		var stalled int64
+		for j, inj := range fb.injs {
+			if inj.Stalled == 0 {
+				t.Errorf("%s: shard %d stalled nothing", tc.spec, j)
+			}
+			stalled += inj.Stalled
+		}
+		if res.CtrlStalled != stalled {
+			t.Errorf("%s: CtrlStalled = %d, shards sum to %d", tc.spec, res.CtrlStalled, stalled)
+		}
+		for i, sw := range fb.Switches() {
+			if sf, cdm := sw.Datapath().FailStats(); sf+cdm == 0 {
+				t.Errorf("%s: switch %d never missed while its control was down", tc.spec, i)
+			}
+		}
+	}
+}

@@ -2,10 +2,12 @@ package testbed
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"sdnbuffer/internal/capture"
+	"sdnbuffer/internal/chaos"
 	"sdnbuffer/internal/controller"
 	"sdnbuffer/internal/core"
 	"sdnbuffer/internal/netem"
@@ -184,6 +186,23 @@ type FabricResult struct {
 	FlowRemovedSeen  uint64
 }
 
+// frameIdent identifies a workload frame by flow key and IP id (pktgen sets
+// the IP id to the per-flow sequence number).
+type frameIdent struct {
+	key  packet.FlowKey
+	ipid uint16
+}
+
+type flowTrack struct {
+	enterFirst time.Duration
+	haveEnter  bool
+	leaveFirst time.Duration
+	haveLeave  bool
+	leaveLast  time.Duration
+	leaves     int
+	lastSeq    int // highest per-flow sequence (IP id) emitted; -1 before any
+}
+
 // hopTrack is the per-hop time record for one tracked frame.
 type hopTrack struct {
 	enters []time.Duration
@@ -214,6 +233,9 @@ type Fabric struct {
 	handoffs   int64
 	ctlDropped int64
 
+	injs []*chaos.Injector // per shard; nil without Config.Chaos controller faults
+
+	src        topo.Host   // the workload's source host
 	path       []topo.Hop  // the src→dst switch chain
 	pathIndex  map[int]int // switch -> position on path
 	hops       map[frameIdent]*hopTrack
@@ -239,17 +261,29 @@ type Fabric struct {
 	tel *telemetry.Recorder
 }
 
-// NewFabric assembles a fabric. The per-switch Config carries the same
-// resource models as the single-switch platform; a fabric of one line switch
-// is bit-identical to the Fig. 1 testbed. Chaos plans are a single-switch
-// feature — fabric fault injection goes through FabricOptions.CrashWindows.
+// NewFabric assembles a fabric. The per-switch Config carries the resource
+// models and the chaos plan; the Fig. 1 Testbed is the fabric of one line
+// switch. Config.Chaos and FabricOptions.CrashWindows are two separate fault
+// models: the plan impairs every control link and stalls, drops or crashes
+// messages at every shard, while a crash window takes one shard down and
+// fails its switches over to their backup.
 func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	var upImp, downImp netem.Impairment
 	if cfg.Chaos != nil {
-		return nil, fmt.Errorf("testbed: fabric does not support chaos plans")
+		if err := cfg.Chaos.Validate(); err != nil {
+			return nil, fmt.Errorf("testbed: %w", err)
+		}
+		upImp, downImp = cfg.Chaos.ControlUp, cfg.Chaos.ControlDown
+		if outs := cfg.Chaos.SwitchOutages; len(outs) > 0 {
+			// Blank every control link over switch-outage windows so no
+			// message crosses while the datapaths sit in their fail mode.
+			upImp.Outages = append(slices.Clip(upImp.Outages), outs...)
+			downImp.Outages = append(slices.Clip(downImp.Outages), outs...)
+		}
 	}
 	opts, err = opts.withDefaults()
 	if err != nil {
@@ -282,6 +316,7 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		fb.tel = telemetry.NewRecorder(*cfg.Telemetry)
 		telemetry.SetEnabled(true)
 	}
+	fb.src = g.Hosts()[opts.SrcHost]
 	fb.path, err = g.HostPath(opts.SrcHost, opts.DstHost)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: fabric workload path: %w", err)
@@ -324,7 +359,8 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 
 	// attach wires switch i to controller j and returns the uplink entry
 	// point (what the switch's control sender calls for this role). A
-	// crashed controller loses messages in both directions.
+	// crashed controller loses messages in both directions; the shard's
+	// chaos injector, when configured, sits at the uplink's arrival.
 	attach := func(i, j int, sw *switchd.SimSwitch, role string, standby bool) (func(msg []byte), error) {
 		up, err := mkLink(fmt.Sprintf("sw%d->ctl%d(%s)", i, j, role), cfg.ControlLinkMbps, cfg.ControlLinkPropagation)
 		if err != nil {
@@ -342,6 +378,16 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 				return nil, err
 			}
 		}
+		if upImp.Enabled() {
+			if err := up.SetImpairment(upImp); err != nil {
+				return nil, fmt.Errorf("testbed: control-up impairment: %w", err)
+			}
+		}
+		if downImp.Enabled() {
+			if err := down.SetImpairment(downImp); err != nil {
+				return nil, fmt.Errorf("testbed: control-down impairment: %w", err)
+			}
+		}
 		fb.chans = append(fb.chans, capture.NewControlChannel(up, down))
 		conn, deliver := fb.ctls[j].AttachConn(func(msg []byte) {
 			if fb.ctlDown[j] {
@@ -355,14 +401,19 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 		} else {
 			fb.apps[j].RegisterConn(conn, i)
 		}
+		arrive := func(msg []byte) {
+			if fb.ctlDown[j] {
+				fb.ctlDropped++
+				return
+			}
+			deliver(msg)
+		}
 		return func(msg []byte) {
-			up.Send(msg, func() {
-				if fb.ctlDown[j] {
-					fb.ctlDropped++
-					return
-				}
-				deliver(msg)
-			})
+			if fb.injs != nil {
+				up.Send(msg, fb.injs[j].Wrap(func() { arrive(msg) }))
+				return
+			}
+			up.Send(msg, func() { arrive(msg) })
 		}, nil
 	}
 
@@ -399,6 +450,20 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 			sendMaster(msg)
 		})
 		fb.sws = append(fb.sws, sw)
+	}
+
+	// Chaos plan: one event per switch-outage edge toggling every datapath's
+	// fail mode, then one controller-fault injector per shard.
+	if cfg.Chaos != nil {
+		for _, w := range cfg.Chaos.SwitchOutages {
+			k.At(w.Start, func() { fb.setControlDown(true) })
+			k.At(w.End, func() { fb.setControlDown(false) })
+		}
+		if cfg.Chaos.Controller.Enabled() {
+			for range fb.ctls {
+				fb.injs = append(fb.injs, chaos.NewInjector(k, cfg.Chaos.Controller, nil))
+			}
+		}
 	}
 
 	// Crash windows: deterministic handoff at the window edges, one event
@@ -477,6 +542,13 @@ func NewFabric(cfg Config, opts FabricOptions) (*Fabric, error) {
 	return fb, nil
 }
 
+// setControlDown flips every switch into (or out of) its fail mode.
+func (fb *Fabric) setControlDown(down bool) {
+	for _, sw := range fb.sws {
+		sw.SetControlDown(down)
+	}
+}
+
 // onTransmit routes every frame leaving switch i onto the proper egress
 // link: the next path switch, a host, or (misrouted) anywhere else.
 func (fb *Fabric) onTransmit(i int, port uint16, frame []byte) {
@@ -529,8 +601,10 @@ func (fb *Fabric) identify(frame []byte) (frameIdent, int, bool) {
 	return ident, id, ok
 }
 
-// observeExit is the exactly-once-in-order oracle at the destination edge,
-// identical to the single-switch platform's transmit tap.
+// observeExit is the exactly-once-in-order oracle at the destination edge:
+// pktgen stamps each frame's IP id with its 0-based per-flow sequence
+// number, so a repeated ident is a duplicate emission and a sequence number
+// below the flow's high-water mark is an ordering violation.
 func (fb *Fabric) observeExit(sw int, frame []byte) {
 	now := fb.kernel.Now()
 	ident, id, ok := fb.identify(frame)
@@ -695,29 +769,33 @@ func (fb *Fabric) Run(sched pktgen.Schedule) (*FabricResult, error) {
 			}
 		}
 	}
-	src := fb.g.Hosts()[fb.opts.SrcHost]
+	// Every workload frame allocates these two closures, so they capture
+	// only the link and the frame.
+	up := fb.hostUp[fb.opts.SrcHost]
 	for _, e := range sched {
-		e := e
+		frame := e.Frame
 		fb.kernel.At(e.At, func() {
-			fb.hostUp[fb.opts.SrcHost].Send(e.Frame, func() {
-				now := fb.kernel.Now()
-				if _, id, ok := fb.identify(e.Frame); ok {
-					tr := fb.flows[id]
-					if !tr.haveEnter {
-						tr.enterFirst = now
-						tr.haveEnter = true
-					}
-				}
-				fb.noteIngress(src.Switch, e.Frame)
-				fb.hopEnter(src.Switch, e.Frame)
-				fb.sws[src.Switch].Ingest(src.Port, e.Frame)
-			})
+			up.Send(frame, func() { fb.ingress(frame) })
 		})
 	}
 	deadline := sched.Duration() + fb.cfg.Drain
 	fb.kernel.Drain(deadline)
 	fb.tel.Finish(fb.kernel.Now()) // nil-safe
 	return fb.collect(sched), nil
+}
+
+// ingress hands a workload frame arriving from the source host to its edge
+// switch.
+func (fb *Fabric) ingress(frame []byte) {
+	if _, id, ok := fb.identify(frame); ok {
+		if tr := fb.flows[id]; !tr.haveEnter {
+			tr.enterFirst = fb.kernel.Now()
+			tr.haveEnter = true
+		}
+	}
+	fb.noteIngress(fb.src.Switch, frame)
+	fb.hopEnter(fb.src.Switch, frame)
+	fb.sws[fb.src.Switch].Ingest(fb.src.Port, frame)
 }
 
 func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
@@ -745,6 +823,11 @@ func (fb *Fabric) collect(sched pktgen.Schedule) *FabricResult {
 		res.ControllerUsagePercent += ctl.CPUUtilizationPercent()
 	}
 	res.ControllerUsagePercent /= float64(len(fb.ctls))
+	for _, inj := range fb.injs {
+		res.CtrlStalled += inj.Stalled
+		res.CtrlDropped += inj.Dropped
+		res.CtrlCrashed += inj.Crashed
+	}
 	for _, app := range fb.apps {
 		_, installs, skips, unroutable := app.Stats()
 		res.PathInstalls += installs

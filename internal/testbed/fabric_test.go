@@ -132,71 +132,6 @@ func TestFabricDelayMatchesHopSumOracle(t *testing.T) {
 	}
 }
 
-func TestFabricSingleSwitchMatchesTestbed(t *testing.T) {
-	// A 1-switch line fabric is the Fig. 1 platform: same switch, same
-	// controller model, same reactive decision bytes. Every metric must be
-	// bit-identical to the legacy single-switch testbed on the same workload.
-	for _, gran := range []openflow.BufferGranularity{
-		openflow.GranularityNone, openflow.GranularityPacket, openflow.GranularityFlow,
-	} {
-		graph := buildGraph(t, "line:1")
-		buf := openflow.FlowBufferConfig{Granularity: gran, RerequestTimeoutMs: 50}
-		// The same schedule drives both platforms: host 1 of the fabric is
-		// 10.0.0.3, which the legacy forwarder's 10.0.0.0/24 route sends out
-		// port 2 — the identical forwarding decision.
-		sched, err := pktgen.SinglePacketFlows(fabricPktgen(graph, 40, 1), 150)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		fb, err := NewFabric(DefaultConfig(buf, 256), FabricOptions{Graph: graph})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fres, err := fb.Run(sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb, err := New(DefaultConfig(buf, 256))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sres, err := tb.Run(sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		type pair struct {
-			name   string
-			fabric any
-			single any
-		}
-		for _, p := range []pair{
-			{"FramesDelivered", fres.FramesDelivered, sres.FramesDelivered},
-			{"PacketIns", fres.PacketIns, sres.PacketIns},
-			{"FlowMods", fres.FlowMods, sres.FlowMods},
-			{"PacketOuts", fres.PacketOuts, sres.PacketOuts},
-			{"FlowsObserved", fres.FlowsObserved, sres.FlowsObserved},
-			{"FlowSetupDelay.Count", fres.FlowSetupDelay.Count(), sres.FlowSetupDelay.Count()},
-			{"FlowSetupDelay.Mean", fres.FlowSetupDelay.Mean(), sres.FlowSetupDelay.Mean()},
-			{"ControllerDelay.Mean", fres.ControllerDelay.Mean(), sres.ControllerDelay.Mean()},
-			{"ControllerUsagePercent", fres.ControllerUsagePercent, sres.ControllerUsagePercent},
-			{"SwitchUsagePercent", fres.SwitchUsagePercent, sres.SwitchUsagePercent},
-			{"CtrlLoadToControllerMbps", fres.CtrlLoadToControllerMbps, sres.CtrlLoadToControllerMbps},
-			{"CtrlLoadToSwitchMbps", fres.CtrlLoadToSwitchMbps, sres.CtrlLoadToSwitchMbps},
-			{"BufferOccupancyMean", fres.BufferOccupancyMean, sres.BufferOccupancyMean},
-			{"BufferOccupancyMax", fres.BufferOccupancyMax, sres.BufferOccupancyMax},
-			{"BufferUnitsLeaked", fres.BufferUnitsLeaked, sres.BufferUnitsLeaked},
-			{"DupEmissions", fres.DupEmissions, sres.DupEmissions},
-			{"OrderViolations", fres.OrderViolations, sres.OrderViolations},
-		} {
-			if p.fabric != p.single {
-				t.Errorf("gran %v: %s: fabric %v != single %v", gran, p.name, p.fabric, p.single)
-			}
-		}
-	}
-}
-
 func TestFabricRandomTopologiesDeliverExactlyOnceInOrder(t *testing.T) {
 	// Seeded random fabrics: whatever the wiring, routing must deliver every
 	// frame exactly once, in order, to the right host, and leak nothing.

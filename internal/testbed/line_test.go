@@ -86,8 +86,8 @@ func TestLineFlowGranularityAcrossHops(t *testing.T) {
 }
 
 func TestLineSingleSwitchMatchesPacketCounts(t *testing.T) {
-	// A 1-switch line is the Fig. 1 topology; its protocol behaviour must
-	// match the single-switch testbed.
+	// A 1-switch line is the Fig. 1 topology; the Testbed wrapper must
+	// report what the fabric it wraps measured.
 	line := runLine(t, openflow.GranularityPacket, 1, 40, 150)
 	single := runStudyA(t, openflow.GranularityPacket, 256, 40, 150)
 	if line.PacketIns != single.PacketIns {

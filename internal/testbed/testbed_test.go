@@ -248,13 +248,7 @@ func TestTCPEvictionScenario(t *testing.T) {
 	cfg.Switch.Datapath.TableCapacity = 8
 	cfg.Switch.Datapath.EvictionPolicy = flowtable.EvictLRU
 	// Idle timeout shorter than the pause also evicts.
-	cfg.Forwarder = controller.ForwarderConfig{
-		Routes: []controller.Route{
-			{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Port: PortHost2},
-			{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Port: PortHost1},
-		},
-		IdleTimeout: 1,
-	}
+	cfg.Forwarder = controller.ForwarderConfig{IdleTimeout: 1}
 	tb, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

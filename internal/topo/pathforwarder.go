@@ -191,6 +191,7 @@ func (p *PathForwarder) HandlePacketInConn(conn int, pi *openflow.PacketIn, xid 
 		directed = append(directed, controller.Directed{Conn: conn, Msg: po})
 	} else {
 		msgs := p.cfg.InstallMessages(pi, frame, out)
+		directed = make([]controller.Directed, 0, len(msgs))
 		for _, m := range msgs {
 			directed = append(directed, controller.Directed{Conn: conn, Msg: m})
 		}

@@ -169,12 +169,12 @@ type Graph struct {
 	addrIndex map[netip.Addr]int
 }
 
-// hostAddr assigns host i a stable address under 10.0.0.0/16, disjoint from
-// the 10.1.0.0/16 block pktgen forges sources from. Host 0 is 10.0.0.2, the
-// paper platform's Host2 address, so single-switch fabrics replay legacy
-// schedules unchanged.
+// hostAddr assigns host i the address 10.0.0.0/16 + (i+1), disjoint from
+// the 10.1.0.0/16 block pktgen forges sources from. Hosts 0 and 1 are the
+// paper platform's Host1 (10.0.0.1, the sender) and Host2 (10.0.0.2, the
+// receiver), so a single-switch line replays Fig. 1 schedules unchanged.
 func hostAddr(i int) netip.Addr {
-	n := i + 2 // skip .0 and .1 in the first block
+	n := i + 1 // skip .0 in the first block
 	return netip.AddrFrom4([4]byte{10, 0, byte(n >> 8), byte(n)})
 }
 
@@ -230,10 +230,9 @@ func (g *Graph) addHost(sw int) {
 	g.hosts = append(g.hosts, Host{Switch: sw, Port: port, Addr: hostAddr(id)})
 }
 
-// buildLine wires Host0 — SW0 — … — SW(n-1) — Host1. Port conventions match
-// the single-switch platform: port 1 faces left (or Host0), port 2 faces
-// right (or Host1), so a 1-switch line is exactly the paper's Fig. 1
-// platform.
+// buildLine wires Host0 — SW0 — … — SW(n-1) — Host1. Port 1 faces left (or
+// Host0), port 2 faces right (or Host1), so a 1-switch line is exactly the
+// paper's Fig. 1 platform.
 func (g *Graph) buildLine(n int) {
 	g.adj = make([][]Peer, n)
 	g.addHost(0) // SW0 port 1 = Host0

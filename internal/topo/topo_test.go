@@ -70,15 +70,15 @@ func TestParseSpecRejects(t *testing.T) {
 }
 
 func TestLinePortConventions(t *testing.T) {
-	// A line must match the single-switch platform's wiring: port 1 faces
-	// left (host 0 on the first switch), port 2 faces right (host 1 on the
-	// last).
+	// A line keeps Fig. 1's wiring: port 1 faces left (host 0 on the first
+	// switch), port 2 faces right (host 1 on the last).
 	g := build(t, "line:3")
 	hosts := g.Hosts()
 	if len(hosts) != 2 || hosts[0].Switch != 0 || hosts[0].Port != 1 || hosts[1].Switch != 2 || hosts[1].Port != 2 {
 		t.Fatalf("line hosts = %+v", hosts)
 	}
-	if hosts[0].Addr != netip.MustParseAddr("10.0.0.2") || hosts[1].Addr != netip.MustParseAddr("10.0.0.3") {
+	// Hosts 0 and 1 carry Fig. 1's Host1 and Host2 addresses.
+	if hosts[0].Addr != netip.MustParseAddr("10.0.0.1") || hosts[1].Addr != netip.MustParseAddr("10.0.0.2") {
 		t.Errorf("host addrs = %v, %v", hosts[0].Addr, hosts[1].Addr)
 	}
 	for i := 0; i < 2; i++ {

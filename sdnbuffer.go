@@ -111,9 +111,8 @@ func (p Platform) config() (testbed.Config, error) {
 }
 
 // Workload is a traffic schedule for one run. The builder takes the
-// destination host address so the same workload runs unchanged on the
-// single-switch platform (dst 10.0.0.2) and on fabrics, where the frames
-// must target the fabric's destination host.
+// destination host address: the topology's host 1, which is Fig. 1's Host2
+// (10.0.0.2) on every topology.
 type Workload struct {
 	name  string
 	build func(dst netip.Addr) (pktgen.Schedule, error)
@@ -176,32 +175,15 @@ func TCPReconnect(rateMbps float64, burst1 int, pause time.Duration, burst2 int)
 	}
 }
 
-// singleSwitchDst is the legacy platform's receiving host.
-var singleSwitchDst = netip.MustParseAddr("10.0.0.2")
-
 // Report is the metric set of one run — the paper's §III.B metrics. It is
 // the testbed result type re-exported.
 type Report = testbed.Result
 
-// Run assembles the platform, replays the workload, and returns the
-// measured metrics.
+// Run assembles the paper's Fig. 1 platform (one switch between Host1 and
+// Host2), replays the workload, and returns the measured metrics. It is
+// RunLine with one switch.
 func Run(p Platform, w Workload) (*Report, error) {
-	cfg, err := p.config()
-	if err != nil {
-		return nil, err
-	}
-	tb, err := testbed.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if w.build == nil {
-		return nil, fmt.Errorf("sdnbuffer: empty workload")
-	}
-	sched, err := w.build(singleSwitchDst)
-	if err != nil {
-		return nil, err
-	}
-	return tb.Run(sched)
+	return RunLine(p, 1, w)
 }
 
 // RunLine runs the workload across a line of switches (Host1 — SW1 — … —

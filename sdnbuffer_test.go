@@ -1,8 +1,6 @@
 package sdnbuffer
 
 import (
-	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -130,29 +128,6 @@ func TestRunLineFacade(t *testing.T) {
 	}
 	if _, err := RunLine(Platform{Mode: ModeNoBuffer}, 2, Workload{}); err == nil {
 		t.Error("accepted empty workload")
-	}
-}
-
-// TestRunLineIsFabricLine pins RunLine to the fabric path it is built on:
-// every Report field — delivery-order and duplicate counts included — equals
-// RunFabric's on the same "line:n" topology with one controller and
-// hop-by-hop installs.
-func TestRunLineIsFabricLine(t *testing.T) {
-	p := Platform{Mode: ModeFlowGranularity}
-	w := BurstFlows(90, 50, 20, 5)
-	for _, n := range []int{1, 3} {
-		line, err := RunLine(p, n, w)
-		if err != nil {
-			t.Fatalf("RunLine(%d): %v", n, err)
-		}
-		fab, err := RunFabric(p, fmt.Sprintf("line:%d", n), 1, false, w)
-		if err != nil {
-			t.Fatalf("RunFabric(line:%d): %v", n, err)
-		}
-		if !reflect.DeepEqual(*line, fab.Result) {
-			t.Errorf("line:%d: RunLine report differs from RunFabric's:\n%+v\nvs\n%+v", n, *line, fab.Result)
-		}
-		t.Logf("line:%d: %d order violations, %d duplicate emissions", n, line.OrderViolations, line.DupEmissions)
 	}
 }
 
