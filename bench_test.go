@@ -1,17 +1,10 @@
 package sdnbuffer
 
-// One benchmark per figure of the paper's evaluation. Each runs a
-// scaled-down version of the figure's sweep (the full paper-scale sweep is
-// cmd/benchrunner's job) and reports the figure's headline comparison as a
-// custom metric, so `go test -bench .` prints the reproduction summary:
-//
-//   - %reduction: how much the buffered/proposed series improves on the
-//     baseline series, mean across the swept rates (the paper's "reduces X
-//     by N% on average" numbers).
-//   - <series>_mean: the absolute metric means.
-//
-// Micro-benchmarks for the hot paths (codec, matching, mechanisms) follow,
-// exercised with -benchmem for allocation accounting.
+// Benchmarks of the sweep runner, ablations of the mechanism's knobs
+// (DESIGN.md §5), and micro-benchmarks of the hot paths (codec, matching,
+// mechanisms), exercised with -benchmem for allocation accounting. The
+// per-figure sweeps are timed by `go run ./bench --workload paper-figs` and
+// reproduced by cmd/benchrunner.
 
 import (
 	"fmt"
@@ -28,7 +21,7 @@ import (
 	"sdnbuffer/internal/testbed"
 )
 
-// benchOpts is the scaled-down sweep every figure benchmark uses.
+// benchOpts is a scaled-down figure sweep.
 func benchOpts() experiments.Options {
 	return experiments.Options{
 		Rates:   []float64{20, 50, 80},
@@ -36,102 +29,6 @@ func benchOpts() experiments.Options {
 		FlowsA:  300,
 		FlowsB:  20, PktsPerFlowB: 10, GroupB: 5,
 	}
-}
-
-// runFigure executes the figure's sweep once per b.N iteration and reports
-// the baseline/target means plus the mean reduction.
-func runFigure(b *testing.B, id, baseline, target string) {
-	b.Helper()
-	exp, err := experiments.ByID(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var res *experiments.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err = experiments.Run(exp, benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	bs, err := res.FindSeries(baseline)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ts, err := res.FindSeries(target)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(bs.Overall.Mean(), baseline+"_mean")
-	b.ReportMetric(ts.Overall.Mean(), target+"_mean")
-	if red, err := res.MeanReduction(baseline, target); err == nil {
-		b.ReportMetric(red, "%reduction")
-	}
-}
-
-func BenchmarkFig2aControlLoadToController(b *testing.B) {
-	runFigure(b, "fig2a", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig2bControlLoadToSwitch(b *testing.B) {
-	runFigure(b, "fig2b", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig3ControllerUsage(b *testing.B) {
-	runFigure(b, "fig3", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig4SwitchUsage(b *testing.B) {
-	runFigure(b, "fig4", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig5FlowSetupDelay(b *testing.B) {
-	runFigure(b, "fig5", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig6ControllerDelay(b *testing.B) {
-	runFigure(b, "fig6", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig7SwitchDelay(b *testing.B) {
-	runFigure(b, "fig7", "no-buffer", "buffer-256")
-}
-
-func BenchmarkFig8BufferUtilization(b *testing.B) {
-	runFigure(b, "fig8", "buffer-256", "buffer-16")
-}
-
-func BenchmarkFig9aControlLoadToController(b *testing.B) {
-	runFigure(b, "fig9a", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig9bControlLoadToSwitch(b *testing.B) {
-	runFigure(b, "fig9b", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig10ControllerUsage(b *testing.B) {
-	runFigure(b, "fig10", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig11SwitchUsage(b *testing.B) {
-	runFigure(b, "fig11", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig12aFlowSetupDelay(b *testing.B) {
-	runFigure(b, "fig12a", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig12bFlowForwardingDelay(b *testing.B) {
-	runFigure(b, "fig12b", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig13aBufferUtilizationMean(b *testing.B) {
-	runFigure(b, "fig13a", "packet-granularity", "flow-granularity")
-}
-
-func BenchmarkFig13bBufferUtilizationMax(b *testing.B) {
-	runFigure(b, "fig13b", "packet-granularity", "flow-granularity")
 }
 
 // BenchmarkParallelScalingFig2a measures the wall-clock scaling of the

@@ -1,66 +1,38 @@
 // Command ofctl runs the live-mode controller: a real OpenFlow TCP server
-// with the reactive forwarding application — the Floodlight role in the
-// paper's testbed. Switches built from this repository (cmd/ofswitch) or
-// any OpenFlow 1.0 switch restricted to this subset can connect to it.
+// running topo.PathForwarder, the same controller application the simulator
+// runs — the Floodlight role in the paper's testbed. A switch is bound to
+// its place in the -topo graph by datapath id (dpid i+1 is switch i), and
+// host i is 10.0.0.(i+1). Switches built from this repository
+// (cmd/ofswitch) or any OpenFlow 1.0 switch restricted to this subset can
+// connect to it.
 //
 // Usage:
 //
-//	ofctl -listen :6633 -route 10.0.0.0/24=2 -route 10.1.0.0/16=1
+//	ofctl -listen :6633 -topo line:1
 //	ofctl -listen :6633 -buffer flow -rerequest 50ms
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
-	"net/netip"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"sdnbuffer/internal/controller"
 	"sdnbuffer/internal/openflow"
+	"sdnbuffer/internal/topo"
 )
-
-// routeFlags collects repeated -route flags of the form PREFIX=PORT.
-type routeFlags []controller.Route
-
-func (r *routeFlags) String() string {
-	parts := make([]string, len(*r))
-	for i, rt := range *r {
-		parts[i] = fmt.Sprintf("%s=%d", rt.Prefix, rt.Port)
-	}
-	return strings.Join(parts, ",")
-}
-
-func (r *routeFlags) Set(v string) error {
-	eq := strings.LastIndex(v, "=")
-	if eq < 0 {
-		return fmt.Errorf("route %q: want PREFIX=PORT", v)
-	}
-	prefix, err := netip.ParsePrefix(v[:eq])
-	if err != nil {
-		return fmt.Errorf("route %q: %w", v, err)
-	}
-	port, err := strconv.ParseUint(v[eq+1:], 10, 16)
-	if err != nil {
-		return fmt.Errorf("route %q: %w", v, err)
-	}
-	*r = append(*r, controller.Route{Prefix: prefix, Port: uint16(port)})
-	return nil
-}
 
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
-	var routes routeFlags
 	var (
 		listen      = flag.String("listen", ":6633", "TCP listen address")
+		topoSpec    = flag.String("topo", "line:1", "topology the switches form (line:4, leafspine:leaves=8,spines=4, ...); dpid i+1 is switch i")
 		bufferMode  = flag.String("buffer", "", "buffer mode to push to switches: none, packet or flow (empty: leave switch default)")
 		rerequest   = flag.Duration("rerequest", 50*time.Millisecond, "flow-granularity re-request timeout")
 		maxPerFlow  = flag.Int("max-per-flow", 0, "flow-granularity per-flow packet bound (0 = unbounded)")
@@ -77,27 +49,23 @@ func run() int {
 		stallTO     = flag.Duration("stall-timeout", 2*time.Second, "slow-consumer bound before a stalled connection is evicted")
 		drainTO     = flag.Duration("drain-timeout", 2*time.Second, "graceful-drain bound on shutdown")
 	)
-	flag.Var(&routes, "route", "PREFIX=PORT forwarding route (repeatable)")
 	flag.Parse()
 
 	logger := log.New(os.Stderr, "", log.LstdFlags|log.Lmicroseconds)
-	if len(routes) == 0 {
-		routes = routeFlags{
-			{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Port: 2},
-			{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Port: 1},
-		}
-		logger.Printf("ofctl: no -route given; using defaults %s", routes.String())
+	spec, err := topo.ParseSpec(*topoSpec)
+	if err != nil {
+		logger.Printf("ofctl: %v", err)
+		return 2
 	}
-
-	app, err := controller.NewReactiveForwarder(controller.ForwarderConfig{
-		Routes:      routes,
+	g, err := topo.Build(spec)
+	if err != nil {
+		logger.Printf("ofctl: %v", err)
+		return 2
+	}
+	app := topo.NewPathForwarder(g, topo.InstallHopByHop, controller.ForwarderConfig{
 		IdleTimeout: uint16(*idle),
 		HardTimeout: uint16(*hard),
 	})
-	if err != nil {
-		logger.Printf("ofctl: %v", err)
-		return 1
-	}
 
 	cfg := controller.ServerConfig{
 		MissSendLen:      uint16(*missSendLen),
@@ -150,8 +118,10 @@ func run() int {
 		logger.Printf("ofctl: close: %v", err)
 		return 1
 	}
-	packetIns, flooded := app.Stats()
-	logger.Printf("ofctl: handled %d packet_ins (%d flooded)", packetIns, flooded)
+	packetIns, _, _, unroutable := app.Stats()
+	rerouted, blackholes := app.RecoveryStats()
+	logger.Printf("ofctl: handled %d packet_ins (%d unroutable, %d blackholed); %d edges down, %d next hops rerouted",
+		packetIns, unroutable, blackholes, app.FailedEdges(), rerouted)
 	st := srv.Stats()
 	logger.Printf("ofctl: lifetime: accepted %d (rejected %d, rate-limited %d), msgs in %d out %d, shed %d, evictions: handshake %d keepalive %d stall %d, write errors %d, framing errors %d",
 		st.Accepted, st.AdmissionRejected, st.RateLimited, st.MsgsIn, st.MsgsOut, st.Shed,

@@ -19,6 +19,7 @@ import (
 	"sdnbuffer/internal/packet"
 	"sdnbuffer/internal/pktgen"
 	"sdnbuffer/internal/switchd"
+	"sdnbuffer/internal/topo"
 )
 
 func main() {
@@ -29,17 +30,15 @@ func main() {
 }
 
 func run() error {
-	// Controller (Floodlight role): reactive forwarding + push the
-	// flow-granularity buffer config to every switch that connects.
-	app, err := controller.NewReactiveForwarder(controller.ForwarderConfig{
-		Routes: []controller.Route{
-			{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Port: 2},
-			{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Port: 1},
-		},
-	})
+	// Controller (Floodlight role): the simulator's PathForwarder over the
+	// one-switch line — Host1 10.0.0.1 on port 1, Host2 10.0.0.2 on port 2 —
+	// pushing the flow-granularity buffer config to every switch that
+	// connects.
+	g, err := topo.Build(topo.Spec{Kind: topo.KindLine, Switches: 1})
 	if err != nil {
 		return err
 	}
+	app := topo.NewPathForwarder(g, topo.InstallHopByHop, controller.ForwarderConfig{})
 	srv, err := controller.NewServer(controller.ServerConfig{
 		Buffer: &openflow.FlowBufferConfig{
 			Granularity:        openflow.GranularityFlow,
@@ -55,10 +54,10 @@ func run() error {
 	defer func() { _ = srv.Close() }()
 	fmt.Printf("controller listening on %s\n", srv.Addr())
 
-	// Switch (Open vSwitch role).
+	// Switch (Open vSwitch role): datapath id 1 is the line's switch 0.
 	agent, err := switchd.NewAgent(switchd.AgentConfig{
 		Datapath: switchd.Config{
-			DatapathID:     0x42,
+			DatapathID:     1,
 			NumPorts:       2,
 			Buffer:         openflow.FlowBufferConfig{Granularity: openflow.GranularityPacket},
 			BufferCapacity: 256,
@@ -87,7 +86,7 @@ func run() error {
 	if err := agent.Connect(srv.Addr()); err != nil {
 		return err
 	}
-	fmt.Printf("switch %#x connected; waiting for the buffer handshake...\n", 0x42)
+	fmt.Println("switch 1 connected; waiting for the buffer handshake...")
 	deadline := time.Now().Add(5 * time.Second)
 	for agent.BufferGranularity() != openflow.GranularityFlow {
 		if time.Now().After(deadline) {
@@ -124,13 +123,17 @@ func run() error {
 	}
 
 	rx, _, tx, _, misses := agent.Stats()
-	packetIns, flooded := app.Stats()
+	// The app is the server's to call until it closes; read it after.
+	if err := srv.Close(); err != nil {
+		return err
+	}
+	packetIns, _, _, unroutable := app.Stats()
 	mu.Lock()
 	fmt.Printf("\ndelivered %d/%d frames (%d bytes) to Host2 over the live datapath\n",
 		delivered, len(sched), deliveredBytes)
 	mu.Unlock()
-	fmt.Printf("switch: rx=%d tx=%d misses=%d; controller: packet_ins=%d flooded=%d\n",
-		rx, tx, misses, packetIns, flooded)
+	fmt.Printf("switch: rx=%d tx=%d misses=%d; controller: packet_ins=%d unroutable=%d\n",
+		rx, tx, misses, packetIns, unroutable)
 	fmt.Printf("table rules installed: %d\n", agent.TableLen())
 	if packetIns >= uint64(len(sched)) {
 		return fmt.Errorf("controller saw %d packet_ins; flow granularity should send ~1 per flow", packetIns)

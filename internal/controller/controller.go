@@ -1,11 +1,12 @@
 // Package controller is the testbed's SDN controller — the stand-in for
-// Floodlight. The reactive forwarding application answers every packet_in
-// with a pair of control operation messages, exactly the interaction the
-// paper measures: a flow_mod installing the forwarding rule and a
-// packet_out releasing the miss-match packet.
+// Floodlight. The forwarding application answers every packet_in with a
+// pair of control operation messages, exactly the interaction the paper
+// measures: a flow_mod installing the forwarding rule and a packet_out
+// releasing the miss-match packet.
 //
 // Like the switch, the protocol logic is shared between the deterministic
-// simulator (SimController) and the live TCP server (Server).
+// simulator (SimController) and the live TCP server (Server), which run the
+// same App (topo.PathForwarder) through the same entry points.
 package controller
 
 import (
@@ -18,29 +19,36 @@ import (
 	"sdnbuffer/internal/packet"
 )
 
-// App decides how to answer switch-originated messages.
+// App decides how to answer switch-originated messages. It is the one
+// application surface of both controllers: SimController and the live
+// Server call the same entry points (see decide) and ship the same []Directed
+// decision records. Each controller makes one app call at a time, so apps
+// keep no locks of their own, and must not call back into the controller.
 type App interface {
 	// Name identifies the application.
 	Name() string
-	// HandlePacketIn answers one request; the returned messages are sent to
-	// the switch in order, all carrying the request's transaction id.
-	HandlePacketIn(pi *openflow.PacketIn, xid uint32) ([]openflow.Message, error)
+	// HandlePacketInConn answers one packet_in that arrived on connection
+	// conn. Replies may target any connection — what a fabric controller
+	// needs to install a whole path in one decision — and all carry the
+	// request's transaction id.
+	HandlePacketInConn(conn int, pi *openflow.PacketIn, xid uint32) ([]Directed, error)
 }
 
-// Directed is one reply aimed at a specific attached switch connection.
+// Directed is one reply aimed at a specific switch connection: the index
+// SimController.AttachConn handed out, or the live server's connection id.
 type Directed struct {
 	Conn int
 	Msg  openflow.Message
 }
 
-// ConnApp is an App that sees which connection each packet_in arrived on
-// and may direct replies at any connection — what a fabric controller needs
-// to install a whole path: the miss switch gets its flow_mod and packet_out,
-// the downstream switches get their flow_mods, all in one batched decision.
-// SimController prefers this interface when the app implements it.
-type ConnApp interface {
-	App
-	HandlePacketInConn(conn int, pi *openflow.PacketIn, xid uint32) ([]Directed, error)
+// DatapathApp is the optional App extension for the live server's
+// connection lifecycle: AttachDatapath binds a connection to the datapath
+// its FEATURES_REPLY announced (an error evicts the connection), and
+// DetachConn forgets a connection the server tore down. The simulator wires
+// switches to connections itself and never calls it.
+type DatapathApp interface {
+	AttachDatapath(conn int, dpid uint64) error
+	DetachConn(conn int)
 }
 
 // PortStatusApp is the optional App extension for topology-change
@@ -68,6 +76,31 @@ type FlowRemovedApp interface {
 // silently.
 type ErrorApp interface {
 	HandleErrorConn(conn int, e *openflow.ErrorMsg) ([]Directed, error)
+}
+
+// decide runs the app entry point for one switch-originated message that
+// arrived on conn: packet_in always, port_status, flow_removed and error
+// when the app implements the matching extension. Every other message, and
+// an extension the app lacks, yields no replies. Both controllers answer
+// through it, so sim and live run one decision path.
+func decide(app App, conn int, m openflow.Message, xid uint32) ([]Directed, error) {
+	switch t := m.(type) {
+	case *openflow.PacketIn:
+		return app.HandlePacketInConn(conn, t, xid)
+	case *openflow.PortStatus:
+		if a, ok := app.(PortStatusApp); ok {
+			return a.HandlePortStatusConn(conn, t)
+		}
+	case *openflow.FlowRemoved:
+		if a, ok := app.(FlowRemovedApp); ok {
+			return a.HandleFlowRemovedConn(conn, t)
+		}
+	case *openflow.ErrorMsg:
+		if a, ok := app.(ErrorApp); ok {
+			return a.HandleErrorConn(conn, t)
+		}
+	}
+	return nil, nil
 }
 
 // Route maps a destination prefix to an output port.
@@ -98,10 +131,10 @@ type ForwarderConfig struct {
 	RequestFlowRemoved bool
 }
 
-// ReactiveForwarder is the Floodlight-style forwarding application. It is
-// safe for concurrent use: the live server dispatches packet_ins from many
-// connection goroutines at once, so the counters are atomic and the route
-// table is read-only after construction.
+// ReactiveForwarder is the single-switch forwarding application: it picks
+// the output port by longest-prefix match on a static route list. Every
+// controller in this repository runs topo.PathForwarder; this one stays as
+// the benchmark harness's fixed-cost app.
 type ReactiveForwarder struct {
 	cfg ForwarderConfig
 
@@ -113,9 +146,6 @@ var _ App = (*ReactiveForwarder)(nil)
 
 // NewReactiveForwarder builds the application.
 func NewReactiveForwarder(cfg ForwarderConfig) (*ReactiveForwarder, error) {
-	if cfg.Priority == 0 {
-		cfg.Priority = 100
-	}
 	for _, r := range cfg.Routes {
 		if !r.Prefix.IsValid() || !r.Prefix.Addr().Is4() {
 			return nil, fmt.Errorf("controller: invalid IPv4 route prefix %v", r.Prefix)
@@ -146,15 +176,27 @@ func (f *ReactiveForwarder) lookupPort(dst netip.Addr) uint16 {
 	return port
 }
 
-// HandlePacketIn implements App: decide the output port from the packet
-// headers, install the rule, and release the miss-match packet.
-func (f *ReactiveForwarder) HandlePacketIn(pi *openflow.PacketIn, xid uint32) ([]openflow.Message, error) {
+// HandlePacketInConn implements App: decide the output port from the packet
+// headers, install the rule, and release the miss-match packet, all on the
+// requesting connection.
+func (f *ReactiveForwarder) HandlePacketInConn(conn int, pi *openflow.PacketIn, _ uint32) ([]Directed, error) {
 	f.packetIns.Add(1)
-	frame, err := packet.ParseHeaders(pi.Data)
-	if err != nil {
+	var frame packet.Frame // retained by nothing: the match copies its fields
+	if err := packet.ParseEthernetInto(&frame, pi.Data); err != nil {
 		return nil, fmt.Errorf("controller: parsing packet_in payload: %w", err)
 	}
-	return f.cfg.InstallMessages(pi, frame, f.lookupPort(frame.DstIP)), nil
+	return f.cfg.Install(conn, pi, &frame, f.lookupPort(frame.DstIP)), nil
+}
+
+// HandlePacketIn answers one packet_in as a plain message list, for callers
+// that time the decision without a connection.
+func (f *ReactiveForwarder) HandlePacketIn(pi *openflow.PacketIn, xid uint32) ([]openflow.Message, error) {
+	replies, err := f.HandlePacketInConn(0, pi, xid)
+	msgs := make([]openflow.Message, len(replies))
+	for i, r := range replies {
+		msgs[i] = r.Msg
+	}
+	return msgs, err
 }
 
 // RuleFor builds the flow_mod installing the config's rule shape for the
@@ -197,28 +239,30 @@ func (cfg ForwarderConfig) MatchFor(inPort uint16, frame *packet.Frame) openflow
 	return openflow.ExactMatch(inPort, frame)
 }
 
-// InstallMessages answers one miss the standard reactive way: a flow_mod
-// installing the forwarding rule and a packet_out releasing the miss-match
-// packet (or, with CombinedFlowMod, one flow_mod doing both). It is shared
-// between the single-switch ReactiveForwarder and the fabric PathForwarder
-// so both produce byte-identical control traffic for the same decision.
-func (cfg ForwarderConfig) InstallMessages(pi *openflow.PacketIn, frame *packet.Frame, outPort uint16) []openflow.Message {
+// Install answers one miss the standard reactive way, as replies on conn:
+// a flow_mod installing the forwarding rule and a packet_out releasing the
+// miss-match packet (or, with CombinedFlowMod, one flow_mod doing both).
+// Every forwarder builds its per-switch answer here, so equal decisions
+// produce byte-identical control traffic.
+func (cfg ForwarderConfig) Install(conn int, pi *openflow.PacketIn, frame *packet.Frame, outPort uint16) []Directed {
 	fm := cfg.RuleFor(cfg.MatchFor(pi.InPort, frame), outPort)
 	if cfg.CombinedFlowMod && pi.BufferID != openflow.NoBuffer {
 		// Ablation: one message installs the rule and releases the buffer.
 		fm.BufferID = pi.BufferID
-		return []openflow.Message{fm}
+		return []Directed{{Conn: conn, Msg: fm}}
 	}
-	po := &openflow.PacketOut{
-		BufferID: pi.BufferID,
-		InPort:   pi.InPort,
-		Actions:  fm.Actions,
-	}
+	return []Directed{{Conn: conn, Msg: fm}, {Conn: conn, Msg: Release(pi, fm.Actions)}}
+}
+
+// Release builds the packet_out that releases a missed packet along
+// actions: it names the switch-side buffer, or carries the whole packet back
+// when the switch did not buffer it.
+func Release(pi *openflow.PacketIn, actions []openflow.Action) *openflow.PacketOut {
+	po := &openflow.PacketOut{BufferID: pi.BufferID, InPort: pi.InPort, Actions: actions}
 	if pi.BufferID == openflow.NoBuffer {
-		// Not buffered: the controller must carry the whole packet back.
 		po.Data = pi.Data
 	}
-	return []openflow.Message{fm, po}
+	return po
 }
 
 // Stats reports requests handled and flood decisions.

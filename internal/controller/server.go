@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -167,9 +168,14 @@ type ConnInfo struct {
 // OpenFlow to real switches, running an App — the Floodlight role in the
 // paper's Fig. 1, hardened to hold thousands of concurrent switch
 // connections (ROADMAP item 3).
+//
+// Every connection goroutine reaches the app through appMu, so the app sees
+// one caller at a time, as under SimController. A Directed reply's Conn is a
+// connection id (ConnInfo.ID).
 type Server struct {
-	cfg ServerConfig
-	app App
+	cfg   ServerConfig
+	app   App
+	appMu sync.Mutex
 
 	ln     net.Listener
 	mu     sync.Mutex
@@ -197,7 +203,8 @@ type Server struct {
 	shed              atomic.Uint64
 }
 
-// queuedMsg is one outbound message awaiting the writer goroutine.
+// queuedMsg is one message with its xid: outbound awaiting the writer
+// goroutine, or inbound awaiting the handshake.
 type queuedMsg struct {
 	m   openflow.Message
 	xid uint32
@@ -213,6 +220,11 @@ type switchConn struct {
 	out       chan queuedMsg // bounded outbound queue
 	stop      chan struct{}  // closed exactly once on teardown
 	connected time.Time
+
+	// Serve goroutine only: whether the app knows this connection's
+	// datapath, and the app-bound messages that arrived before it did.
+	attached bool
+	held     []queuedMsg
 
 	mu       sync.Mutex
 	state    ConnState
@@ -577,6 +589,11 @@ func (s *Server) evict(sc *switchConn, cause error) {
 	delete(s.conns, sc.id)
 	s.setPressureLocked(0)
 	s.mu.Unlock()
+	if da, ok := s.app.(DatapathApp); ok {
+		s.appMu.Lock()
+		da.DetachConn(int(sc.id))
+		s.appMu.Unlock()
+	}
 	if cause != nil && !errors.Is(cause, io.EOF) && !errors.Is(cause, net.ErrClosed) {
 		s.logf("controller: conn %d (%s): closed: %v", sc.id, sc.conn.RemoteAddr(), cause)
 	}
@@ -635,7 +652,9 @@ func (s *Server) serve(sc *switchConn) {
 		return
 	}
 
-	r := openflow.NewReader(sc.conn)
+	// Buffered: one read syscall takes in every message already sent, not
+	// two per message (header, then body).
+	r := openflow.NewReader(bufio.NewReader(sc.conn))
 	for {
 		m, inXid, err := r.ReadMessage()
 		if err != nil {
@@ -669,18 +688,41 @@ func (s *Server) serve(sc *switchConn) {
 	}
 }
 
+// maxHeld bounds the app-bound messages a switch may send before its
+// FEATURES_REPLY; one more evicts it.
+const maxHeld = 256
+
 // markReady promotes a connection out of StateHandshake on its
-// FEATURES_REPLY: clears the handshake read deadline, pushes the operator
-// config (SET_CONFIG, buffer vendor message), and arms keepalive.
+// FEATURES_REPLY: tells a DatapathApp which datapath the connection carries,
+// clears the handshake read deadline, pushes the operator config
+// (SET_CONFIG, buffer vendor message), and arms keepalive. It sets
+// sc.attached. A connection that Close moved to draining before its reply
+// is attached too, so the requests it sends during the drain are answered,
+// but it stays draining.
 func (s *Server) markReady(sc *switchConn, fr *openflow.FeaturesReply) error {
+	// appMu before sc.mu: an eviction racing this either finds the
+	// connection attached and detaches it, or is seen here as closing.
+	s.appMu.Lock()
 	sc.mu.Lock()
-	if sc.state != StateHandshake {
+	if sc.attached || sc.closing {
 		sc.mu.Unlock()
-		return nil // duplicate features_reply: ignore
+		s.appMu.Unlock()
+		return nil // duplicate features_reply, or torn down: ignore
 	}
-	sc.state = StateReady
+	if da, ok := s.app.(DatapathApp); ok {
+		if err := da.AttachDatapath(int(sc.id), fr.DatapathID); err != nil {
+			sc.mu.Unlock()
+			s.appMu.Unlock()
+			return err
+		}
+	}
+	if sc.state == StateHandshake {
+		sc.state = StateReady
+	}
 	sc.dpid = fr.DatapathID
+	sc.attached = true
 	sc.mu.Unlock()
+	s.appMu.Unlock()
 	_ = sc.conn.SetReadDeadline(time.Time{})
 	s.logf("controller: conn %d: datapath %016x ready with %d buffers, %d ports",
 		sc.id, fr.DatapathID, fr.NBuffers, len(fr.Ports))
@@ -709,32 +751,9 @@ func (s *Server) markReady(sc *switchConn, fr *openflow.FeaturesReply) error {
 
 func (s *Server) dispatch(sc *switchConn, m openflow.Message, xid uint32) error {
 	switch t := m.(type) {
-	case *openflow.Hello:
-		return nil
-	case *openflow.EchoRequest:
-		return sc.enqueue(&openflow.EchoReply{Data: t.Data}, xid)
-	case *openflow.FeaturesReply:
-		return s.markReady(sc, t)
-	case *openflow.PacketIn:
-		replies, err := s.app.HandlePacketIn(t, xid)
-		if err != nil {
-			return fmt.Errorf("app: %w", err)
-		}
-		for _, reply := range replies {
-			if err := sc.enqueue(reply, xid); err != nil {
-				return err
-			}
-		}
-		return nil
-	case *openflow.FlowRemoved:
-		s.logf("controller: conn %d: flow removed (reason %d): %s", sc.id, t.Reason, t.Match.String())
-		return nil
+	case *openflow.PacketIn, *openflow.FlowRemoved:
 	case *openflow.ErrorMsg:
 		s.logf("controller: conn %d: switch error: %v", sc.id, t)
-		return nil
-	case *openflow.StatsReply:
-		s.logf("controller: conn %d: stats reply (%v)", sc.id, t.StatsType)
-		return nil
 	case *openflow.PortStatus:
 		state := "up"
 		if t.Desc.State&openflow.PortStateLinkDown != 0 {
@@ -742,14 +761,68 @@ func (s *Server) dispatch(sc *switchConn, m openflow.Message, xid uint32) error 
 		}
 		s.logf("controller: conn %d: port_status: port %d (%s) link %s",
 			sc.id, t.Desc.PortNo, t.Desc.Name, state)
+	case *openflow.EchoRequest:
+		return sc.enqueue(&openflow.EchoReply{Data: t.Data}, xid)
+	case *openflow.FeaturesReply:
+		err := s.markReady(sc, t)
+		held := sc.held
+		sc.held = nil
+		for ; err == nil && sc.attached && len(held) > 0; held = held[1:] {
+			err = s.dispatch(sc, held[0].m, held[0].xid)
+		}
+		return err
+	case *openflow.StatsReply:
+		s.logf("controller: conn %d: stats reply (%v)", sc.id, t.StatsType)
 		return nil
-	case *openflow.EchoReply, *openflow.BarrierReply, *openflow.GetConfigReply,
-		*openflow.Vendor:
+	case *openflow.Hello, *openflow.EchoReply, *openflow.BarrierReply,
+		*openflow.GetConfigReply, *openflow.Vendor:
 		return nil
 	default:
 		s.logf("controller: conn %d: ignoring %v", sc.id, m.Type())
 		return nil
 	}
+	if !sc.attached {
+		// A switch may report a miss before answering the handshake; until
+		// its FEATURES_REPLY the app cannot know which datapath this is.
+		if len(sc.held) == maxHeld {
+			return fmt.Errorf("%d app messages before FEATURES_REPLY", maxHeld+1)
+		}
+		sc.held = append(sc.held, queuedMsg{m, xid})
+		return nil
+	}
+	s.appMu.Lock()
+	replies, err := decide(s.app, int(sc.id), m, xid)
+	s.appMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("app: %w", err)
+	}
+	return s.send(sc, replies, xid)
+}
+
+// send enqueues one decision's replies, all with the request's xid, after
+// the app lock is released. A reply to the requester goes straight to its
+// queue, and an error there evicts it. Any other target is looked up in the
+// registry; a reply for a connection that is gone, or that fails to take
+// it, is dropped and logged, and never evicts the requester.
+func (s *Server) send(sc *switchConn, replies []Directed, xid uint32) error {
+	for _, r := range replies {
+		target := sc
+		if r.Conn != int(sc.id) {
+			s.mu.Lock()
+			target = s.conns[uint64(r.Conn)]
+			s.mu.Unlock()
+		}
+		err := errConnClosed
+		if target != nil {
+			err = target.enqueue(r.Msg, xid)
+		}
+		if err != nil && target == sc {
+			return err
+		} else if err != nil {
+			s.logf("controller: conn %d: dropping %v for conn %d: %v", sc.id, r.Msg.Type(), r.Conn, err)
+		}
+	}
+	return nil
 }
 
 // Close shuts the daemon down gracefully: stop accepting, drain every

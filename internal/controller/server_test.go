@@ -2,8 +2,11 @@ package controller
 
 import (
 	"errors"
+	"log"
 	"net"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -665,16 +668,8 @@ type packetOutApp struct{}
 
 func (packetOutApp) Name() string { return "packet-out" }
 
-func (packetOutApp) HandlePacketIn(pi *openflow.PacketIn, _ uint32) ([]openflow.Message, error) {
-	po := &openflow.PacketOut{
-		BufferID: pi.BufferID,
-		InPort:   pi.InPort,
-		Actions:  []openflow.Action{&openflow.ActionOutput{Port: 2}},
-	}
-	if pi.BufferID == openflow.NoBuffer {
-		po.Data = pi.Data
-	}
-	return []openflow.Message{po}, nil
+func (packetOutApp) HandlePacketInConn(conn int, pi *openflow.PacketIn, _ uint32) ([]Directed, error) {
+	return []Directed{{Conn: conn, Msg: Release(pi, []openflow.Action{&openflow.ActionOutput{Port: 2}})}}, nil
 }
 
 // wedgeWatchConn is writeDeadlineDeafConn that also counts the writes in
@@ -861,5 +856,170 @@ func TestServerRejectsNegativeWriteQueue(t *testing.T) {
 	}
 	if srv.cfg.WriteQueue != 512 {
 		t.Errorf("default write queue = %d, want 512", srv.cfg.WriteQueue)
+	}
+}
+
+// datapathApp records the server's connection lifecycle calls. It answers a
+// packet_in with a flow_mod for a connection that does not exist plus a
+// packet_out on the requester, and refuses datapath 99.
+type datapathApp struct {
+	mu       sync.Mutex
+	attached map[int]uint64
+	detached []int
+}
+
+func (*datapathApp) Name() string { return "datapath-recorder" }
+
+func (a *datapathApp) AttachDatapath(conn int, dpid uint64) error {
+	if dpid == 99 {
+		return errors.New("unknown datapath 99")
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.attached[conn] = dpid
+	return nil
+}
+
+func (a *datapathApp) DetachConn(conn int) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.detached = append(a.detached, conn)
+}
+
+func (a *datapathApp) HandlePacketInConn(conn int, pi *openflow.PacketIn, _ uint32) ([]Directed, error) {
+	a.mu.Lock()
+	_, ok := a.attached[conn]
+	a.mu.Unlock()
+	if !ok {
+		return nil, errors.New("packet_in on a connection with no datapath")
+	}
+	out := []openflow.Action{&openflow.ActionOutput{Port: 2}}
+	return []Directed{
+		{Conn: 1 << 30, Msg: &openflow.FlowMod{Command: openflow.FlowModAdd, BufferID: openflow.NoBuffer, Actions: out}},
+		{Conn: conn, Msg: Release(pi, out)},
+	}, nil
+}
+
+// lockedLog is a log sink safe for the server's goroutines.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestServerConnectionLifecycleReachesApp pins the live half of the one app
+// surface: a packet_in that beats the FEATURES_REPLY waits for it, the app
+// learns each connection's datapath and may refuse it, a reply for a
+// connection that is gone is dropped without evicting the requester, an
+// evicted connection is forgotten, and a switch whose FEATURES_REPLY lands
+// after Close began is still attached, so its held packet_in is answered
+// during the drain.
+func TestServerConnectionLifecycleReachesApp(t *testing.T) {
+	app := &datapathApp{attached: make(map[int]uint64)}
+	var logged lockedLog
+	srv, err := NewServer(ServerConfig{Logger: log.New(&logged, "", 0), DrainTimeout: 5 * time.Second}, app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+
+	fs := dialFakeSwitch(t, srv.Addr())
+	fs.read() // HELLO
+	fs.read() // FEATURES_REQUEST
+	fs.send(&openflow.Hello{}, 1)
+	fs.send(testPacketIn(t, 42, 128), 5)
+	fs.send(&openflow.FeaturesReply{DatapathID: 7}, 2)
+	m, xid := fs.read()
+	if po, ok := m.(*openflow.PacketOut); !ok || po.BufferID != 42 || xid != 5 {
+		t.Fatalf("reply = %T %+v xid %d, want the held packet_in's packet_out", m, m, xid)
+	}
+	fs.send(&openflow.EchoRequest{}, 6)
+	if m, _ := fs.read(); m.Type() != openflow.TypeEchoReply {
+		t.Fatalf("requester dead after a reply to a gone connection: %v", m.Type())
+	}
+	conns := srv.Conns()
+	if len(conns) != 1 {
+		t.Fatalf("registry = %+v", conns)
+	}
+	id := int(conns[0].ID)
+	app.mu.Lock()
+	dpid := app.attached[id]
+	app.mu.Unlock()
+	if dpid != 7 {
+		t.Fatalf("conn %d attached as datapath %d, want 7", id, dpid)
+	}
+
+	refused := dialFakeSwitch(t, srv.Addr())
+	refused.handshake(99)
+	refused.readEOF()
+
+	_ = fs.conn.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		app.mu.Lock()
+		detached := slices.Clone(app.detached)
+		app.mu.Unlock()
+		if len(detached) == 2 && slices.Contains(detached, id) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("evicted connections never detached: %v", detached)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Close while a switch is still handshaking with a packet_in held. Echo
+	// round trips keep its drain from going quiet until the FEATURES_REPLY
+	// and the echo behind it are answered.
+	late := dialFakeSwitch(t, srv.Addr())
+	late.read() // HELLO
+	late.read() // FEATURES_REQUEST
+	late.send(&openflow.Hello{}, 1)
+	late.send(testPacketIn(t, 43, 128), 5)
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	for draining := false; !draining; {
+		late.send(&openflow.EchoRequest{}, 6)
+		if m, _ := late.read(); m.Type() != openflow.TypeEchoReply {
+			t.Fatalf("handshaking switch got %v", m.Type())
+		}
+		for _, ci := range srv.Conns() {
+			draining = draining || ci.State == StateDraining
+		}
+	}
+	late.send(&openflow.FeaturesReply{DatapathID: 8}, 2)
+	late.send(&openflow.EchoRequest{}, 77)
+	answered := false
+	for {
+		m, xid := late.read()
+		if po, ok := m.(*openflow.PacketOut); ok && po.BufferID == 43 && xid == 5 {
+			answered = true
+		}
+		if m.Type() == openflow.TypeEchoReply && xid == 77 {
+			break
+		}
+	}
+	if !answered {
+		t.Error("held packet_in not answered when the handshake ended during the drain")
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(logged.String(), "app:") {
+		t.Errorf("drain evicted on an app error:\n%s", logged.String())
 	}
 }

@@ -80,7 +80,7 @@ func (c *SimController) SetTelemetry(rec *telemetry.Recorder) {
 // AttachConn registers a switch connection: send is the downlink, called
 // with each encoded control message to put on the control link toward the
 // switch (nil discards replies). It returns the connection index, so a
-// fabric can tell a ConnApp which switch the connection belongs to, and the
+// fabric can tell its app which switch the connection belongs to, and the
 // deliver function the uplink calls for each arriving message; processing
 // cost is charged on the controller CPU before the application runs. All
 // attached switches share the controller's CPU — one Floodlight process
@@ -109,53 +109,16 @@ func (c *SimController) process(conn int, msg []byte, arrived time.Duration) {
 	}
 	c.handled++
 	switch t := m.(type) {
-	case *openflow.PacketIn:
-		if ca, ok := c.app.(ConnApp); ok {
-			replies, err := ca.HandlePacketInConn(conn, t, xid)
-			if err != nil {
-				c.appErrors++
-				return
-			}
-			c.sendDirected(replies, xid, arrived)
-			break
-		}
-		replies, err := c.app.HandlePacketIn(t, xid)
-		if err != nil {
+	case *openflow.PacketIn, *openflow.PortStatus, *openflow.FlowRemoved, *openflow.ErrorMsg:
+		if replies, err := decide(c.app, conn, m, xid); err != nil {
 			c.appErrors++
-			return
+		} else {
+			c.sendDirected(replies, xid, arrived)
 		}
-		c.sendAll(conn, replies, xid, arrived)
 	case *openflow.EchoRequest:
-		c.sendAll(conn, []openflow.Message{&openflow.EchoReply{Data: t.Data}}, xid, arrived)
+		c.sendDirected([]Directed{{Conn: conn, Msg: &openflow.EchoReply{Data: t.Data}}}, xid, arrived)
 	case *openflow.Hello:
-		c.sendAll(conn, []openflow.Message{&openflow.Hello{}}, xid, arrived)
-	case *openflow.PortStatus:
-		if pa, ok := c.app.(PortStatusApp); ok {
-			replies, err := pa.HandlePortStatusConn(conn, t)
-			if err != nil {
-				c.appErrors++
-				return
-			}
-			c.sendDirected(replies, xid, arrived)
-		}
-	case *openflow.FlowRemoved:
-		if fa, ok := c.app.(FlowRemovedApp); ok {
-			replies, err := fa.HandleFlowRemovedConn(conn, t)
-			if err != nil {
-				c.appErrors++
-				return
-			}
-			c.sendDirected(replies, xid, arrived)
-		}
-	case *openflow.ErrorMsg:
-		if ea, ok := c.app.(ErrorApp); ok {
-			replies, err := ea.HandleErrorConn(conn, t)
-			if err != nil {
-				c.appErrors++
-				return
-			}
-			c.sendDirected(replies, xid, arrived)
-		}
+		c.sendDirected([]Directed{{Conn: conn, Msg: &openflow.Hello{}}}, xid, arrived)
 	case *openflow.BarrierReply, *openflow.EchoReply,
 		*openflow.FeaturesReply, *openflow.GetConfigReply,
 		*openflow.Vendor:
@@ -164,49 +127,17 @@ func (c *SimController) process(conn int, msg []byte, arrived time.Duration) {
 		c.appErrors++
 	}
 	// Recycle the decoded shell (a no-op for non-pooled types). Apps keep at
-	// most the Data slice (reactive forwarding copies it into its reply,
-	// which sendAll encoded above), never the message itself.
+	// most the Data slice (a no-buffer release carries it in its reply, which
+	// sendDirected encoded above), never the message itself.
 	openflow.ReleaseMessage(m)
 }
 
-func (c *SimController) sendAll(conn int, replies []openflow.Message, xid uint32, arrived time.Duration) {
-	total := 0
-	encoded := make([][]byte, 0, len(replies))
-	for _, r := range replies {
-		b, err := openflow.Encode(r, xid)
-		if err != nil {
-			c.appErrors++
-			return
-		}
-		encoded = append(encoded, b)
-		total += len(b)
-	}
-	outCost := c.cfg.Cost.Cost(0, total) - c.cfg.Cost.Base // egress share only
-	if outCost < 0 {
-		outCost = 0
-	}
-	c.cpu.Submit(outCost, func() {
-		if c.tel != nil {
-			// Controller service: message arrival to its replies reaching the
-			// downlink — CPU queueing + application + egress-share service.
-			c.tel.Span(telemetry.KindControllerService, arrived, c.kernel.Now(), 0, xid, uint32(total))
-		}
-		sender := c.senders[conn]
-		if sender == nil {
-			return
-		}
-		for _, b := range encoded {
-			sender(b)
-		}
-	})
-}
-
-// sendDirected is sendAll for ConnApp decisions: every reply of one
-// decision is appended into a single backing buffer, sized up front from the
-// encoded lengths (the AppendEncode batch path), and shipped by one egress
-// CPU job, whatever mix of connections the replies target. This is what
-// makes path installation a batch: the whole route's flow_mods cost one
-// controller wakeup and leave back-to-back.
+// sendDirected ships one decision: every reply is appended into a single
+// backing buffer, sized up front from the encoded lengths (the AppendEncode
+// batch path), and shipped by one egress CPU job, whatever mix of
+// connections the replies target. This is what makes path installation a
+// batch: the whole route's flow_mods cost one controller wakeup and leave
+// back-to-back.
 func (c *SimController) sendDirected(replies []Directed, xid uint32, arrived time.Duration) {
 	if len(replies) == 0 {
 		return
@@ -229,6 +160,8 @@ func (c *SimController) sendDirected(replies []Directed, xid uint32, arrived tim
 	}
 	c.cpu.Submit(outCost, func() {
 		if c.tel != nil {
+			// Controller service: message arrival to its replies reaching the
+			// downlink — CPU queueing + application + egress-share service.
 			c.tel.Span(telemetry.KindControllerService, arrived, c.kernel.Now(), 0, xid, uint32(total))
 		}
 		off := 0

@@ -10,6 +10,7 @@ import (
 	"sdnbuffer/internal/openflow"
 	"sdnbuffer/internal/packet"
 	"sdnbuffer/internal/switchd"
+	"sdnbuffer/internal/topo"
 )
 
 // liveTestbed is a controller + switch pair over real TCP loopback.
@@ -23,17 +24,21 @@ type liveTestbed struct {
 	gotFrame chan struct{}
 }
 
+// lineApp is the controller application of the paper's Fig. 1 platform:
+// PathForwarder over the one-switch line, whose datapath id is 1 and whose
+// ports 1 and 2 face Host1 (10.0.0.1) and Host2 (10.0.0.2).
+func lineApp(t *testing.T) *topo.PathForwarder {
+	t.Helper()
+	g, err := topo.Build(topo.Spec{Kind: topo.KindLine, Switches: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo.NewPathForwarder(g, topo.InstallHopByHop, controller.ForwarderConfig{})
+}
+
 func newLiveTestbed(t *testing.T, buffer *openflow.FlowBufferConfig, dpCfg switchd.Config) *liveTestbed {
 	t.Helper()
-	app, err := controller.NewReactiveForwarder(controller.ForwarderConfig{
-		Routes: []controller.Route{
-			{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Port: 2},
-			{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Port: 1},
-		},
-	})
-	if err != nil {
-		t.Fatalf("NewReactiveForwarder: %v", err)
-	}
+	app := lineApp(t)
 	server, err := controller.NewServer(controller.ServerConfig{Buffer: buffer}, app)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)

@@ -3,7 +3,6 @@ package switchd_test
 import (
 	"bytes"
 	"log"
-	"net/netip"
 	"strings"
 	"sync"
 	"testing"
@@ -37,15 +36,7 @@ func (b *syncBuffer) String() string {
 // flow_removed and port_status over the real TCP control channel, and the
 // controller prints both transitions. Repeats stay silent.
 func TestLivePortFlapEmitsPortStatus(t *testing.T) {
-	app, err := controller.NewReactiveForwarder(controller.ForwarderConfig{
-		Routes: []controller.Route{
-			{Prefix: netip.MustParsePrefix("10.0.0.0/24"), Port: 2},
-			{Prefix: netip.MustParsePrefix("10.1.0.0/16"), Port: 1},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	app := lineApp(t)
 	var logged syncBuffer
 	server, err := controller.NewServer(controller.ServerConfig{
 		Logger: log.New(&logged, "", 0),

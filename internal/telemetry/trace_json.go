@@ -85,11 +85,11 @@ func WriteTrace(w io.Writer, spans []Span) error {
 	}
 	for _, s := range spans {
 		ev := traceEvent{
-			Name:  s.Kind.String(),
-			Cat:   "lifecycle",
-			TS:    float64(s.Start.Nanoseconds()) / 1e3,
-			PID:   1,
-			TID:   laneFor(s.Kind),
+			Name: s.Kind.String(),
+			Cat:  "lifecycle",
+			TS:   float64(s.Start.Nanoseconds()) / 1e3,
+			PID:  1,
+			TID:  laneFor(s.Kind),
 			Args: map[string]any{
 				"flow":  s.Flow,
 				"ref":   s.Ref,

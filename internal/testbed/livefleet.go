@@ -13,11 +13,14 @@ import (
 	"sdnbuffer/internal/openflow"
 	"sdnbuffer/internal/packet"
 	"sdnbuffer/internal/switchd"
+	"sdnbuffer/internal/topo"
 )
 
 // LiveFleetConfig describes a live soak run: N real switchd.Agents dialing
 // one controller.Server over loopback, optionally through a tcpchaos proxy
-// that mangles the byte streams between them.
+// that mangles the byte streams between them. The server runs
+// topo.PathForwarder over line:N in hop mode, and agent i is its switch i
+// (datapath id i+1).
 type LiveFleetConfig struct {
 	// Agents is the fleet size (required, ≥ 1).
 	Agents int
@@ -66,7 +69,11 @@ func NewLiveFleet(cfg LiveFleetConfig) (*LiveFleet, error) {
 	if cfg.EchoInterval == 0 {
 		cfg.EchoInterval = 150 * time.Millisecond
 	}
-	app := controller.NewLearningSwitch(controller.ForwarderConfig{})
+	g, err := topo.Build(topo.Spec{Kind: topo.KindLine, Switches: cfg.Agents})
+	if err != nil {
+		return nil, err
+	}
+	app := topo.NewPathForwarder(g, topo.InstallHopByHop, controller.ForwarderConfig{})
 	scfg := cfg.Server
 	if scfg.EchoInterval == 0 {
 		scfg.EchoInterval = cfg.EchoInterval
@@ -172,27 +179,18 @@ func (lf *LiveFleet) Reconnects() uint64 { return lf.reconnects.Load() }
 func (lf *LiveFleet) Disconnects() uint64 { return lf.disconns.Load() }
 
 // fleetFrame builds the injected workload frame for one agent: a UDP
-// packet between the agent's two hosts (host 1 on port 1, host 2 on port
-// 2), varying the UDP source port per round so the learning switch sees
-// distinct flows. reverse swaps the endpoints — used to teach the learning
-// switch the destination before asking for an installed rule.
-func fleetFrame(agent, round int, reverse bool) ([]byte, error) {
-	h1 := packet.MAC{2, 0, byte(agent >> 8), byte(agent), 0, 1}
-	h2 := packet.MAC{2, 0, byte(agent >> 8), byte(agent), 0, 2}
-	ip1 := netip.AddrFrom4([4]byte{10, 1, byte(agent >> 8), byte(agent)})
-	ip2 := netip.AddrFrom4([4]byte{10, 2, byte(agent >> 8), byte(agent)})
-	if reverse {
-		h1, h2 = h2, h1
-		ip1, ip2 = ip2, ip1
-	}
+// packet from host 0 (10.0.0.1) to host 1 (10.0.0.2), which enters on port 1
+// and leaves on port 2 at every switch of the line, varying the UDP source
+// port per round so each round is a distinct flow.
+func fleetFrame(agent, round int) ([]byte, error) {
 	f := &packet.Frame{
-		SrcMAC:    h1,
-		DstMAC:    h2,
+		SrcMAC:    packet.MAC{2, 0, byte(agent >> 8), byte(agent), 0, 1},
+		DstMAC:    packet.MAC{2, 0, byte(agent >> 8), byte(agent), 0, 2},
 		EtherType: packet.EtherTypeIPv4,
 		TTL:       64,
 		Proto:     packet.ProtoUDP,
-		SrcIP:     ip1,
-		DstIP:     ip2,
+		SrcIP:     netip.AddrFrom4([4]byte{10, 0, 0, 1}),
+		DstIP:     netip.AddrFrom4([4]byte{10, 0, 0, 2}),
 		SrcPort:   uint16(1024 + round),
 		DstPort:   9,
 		Payload:   make([]byte, 64),
@@ -229,23 +227,12 @@ func (lf *LiveFleet) convergeOne(i int, deadline time.Time) bool {
 		// so a frame can never hit a rule installed for an earlier round
 		// and masquerade local forwarding as control-plane convergence.
 		round := int(lf.flowSeq.Add(1))
-		// Teach the learning switch host 2's location first (reverse frame
-		// from port 2), then the forward frame from port 1 hits a known
-		// destination and earns an installed rule plus a released packet.
-		reverse, err := fleetFrame(i, round, true)
-		if err != nil {
-			return false
-		}
-		forward, err := fleetFrame(i, round, false)
+		frame, err := fleetFrame(i, round)
 		if err != nil {
 			return false
 		}
 		before := lf.egressCount(i)
-		if err := agent.InjectFrame(2, reverse); err != nil {
-			time.Sleep(20 * time.Millisecond)
-			continue
-		}
-		if err := agent.InjectFrame(1, forward); err != nil {
+		if err := agent.InjectFrame(1, frame); err != nil {
 			time.Sleep(20 * time.Millisecond)
 			continue
 		}

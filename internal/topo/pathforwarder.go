@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 
 	"sdnbuffer/internal/controller"
 	"sdnbuffer/internal/openflow"
@@ -52,8 +53,10 @@ func ParseInstallMode(s string) (InstallMode, error) {
 // prefix list, knows which switch each controller connection belongs to,
 // and (in InstallPath mode) installs the whole route on the first miss.
 //
-// One PathForwarder serves one SimController; with a sharded control plane
-// each shard gets its own instance over the shared read-only Graph.
+// One PathForwarder serves one controller — a SimController, or a live
+// Server that attaches each connection by its datapath id; with a sharded
+// control plane each shard gets its own instance over the shared read-only
+// Graph.
 type PathForwarder struct {
 	g    *Graph
 	mode InstallMode
@@ -84,7 +87,10 @@ type PathForwarder struct {
 	blackholes    uint64 // misses for destinations a failure cut off
 }
 
-var _ controller.ConnApp = (*PathForwarder)(nil)
+var (
+	_ controller.App         = (*PathForwarder)(nil)
+	_ controller.DatapathApp = (*PathForwarder)(nil)
+)
 
 // NewPathForwarder builds the application over a built graph.
 func NewPathForwarder(g *Graph, mode InstallMode, cfg controller.ForwarderConfig) *PathForwarder {
@@ -100,13 +106,41 @@ func NewPathForwarder(g *Graph, mode InstallMode, cfg controller.ForwarderConfig
 
 // RegisterConn tells the forwarder that controller connection conn carries
 // switch sw and that this controller masters the switch — the connection
-// becomes a path-install target.
+// becomes a path-install target. The newest registration of a switch wins:
+// a switch that reconnects gets its installs on the new connection.
 func (p *PathForwarder) RegisterConn(conn, sw int) {
 	p.connSwitch[conn] = sw
 	if _, ok := p.switchConn[sw]; !ok {
-		p.switchConn[sw] = conn
 		p.masteredOrder = append(p.masteredOrder, sw)
 	}
+	p.switchConn[sw] = conn
+}
+
+// AttachDatapath implements controller.DatapathApp: the live server's
+// connection conn carries datapath dpid, which is switch dpid−1 (the
+// fabric's DatapathID = i+1 convention) mastered by this forwarder.
+func (p *PathForwarder) AttachDatapath(conn int, dpid uint64) error {
+	if dpid == 0 || dpid > uint64(p.g.NumSwitches()) {
+		return fmt.Errorf("topo: datapath id %d outside the %d-switch graph %q", dpid, p.g.NumSwitches(), p.g.Spec.String())
+	}
+	p.RegisterConn(conn, int(dpid-1))
+	return nil
+}
+
+// DetachConn implements controller.DatapathApp: forget a connection the
+// server tore down. Its switch stops being a path-install target unless a
+// newer connection already took it over.
+func (p *PathForwarder) DetachConn(conn int) {
+	sw, ok := p.connSwitch[conn]
+	if !ok {
+		return
+	}
+	delete(p.connSwitch, conn)
+	if p.switchConn[sw] != conn {
+		return
+	}
+	delete(p.switchConn, sw)
+	p.masteredOrder = slices.DeleteFunc(p.masteredOrder, func(s int) bool { return s == sw })
 }
 
 // RegisterStandbyConn registers a backup connection: misses arriving on it
@@ -140,14 +174,7 @@ func (p *PathForwarder) TableMgmt() (tablemgmt.Stats, bool) {
 // Name implements controller.App.
 func (p *PathForwarder) Name() string { return "path-forwarder" }
 
-// HandlePacketIn implements controller.App. The fabric always attaches
-// switches with explicit connections, so the conn-less entry point only
-// exists to satisfy the interface.
-func (p *PathForwarder) HandlePacketIn(*openflow.PacketIn, uint32) ([]openflow.Message, error) {
-	return nil, fmt.Errorf("topo: PathForwarder needs connection dispatch (use SimController.AttachConn)")
-}
-
-// HandlePacketInConn implements controller.ConnApp: route the miss by the
+// HandlePacketInConn implements controller.App: route the miss by the
 // topology tables and answer with this hop's rule — plus, in path mode,
 // rules for every downstream hop this controller masters.
 func (p *PathForwarder) HandlePacketInConn(conn int, pi *openflow.PacketIn, xid uint32) ([]controller.Directed, error) {
@@ -178,23 +205,11 @@ func (p *PathForwarder) HandlePacketInConn(conn int, pi *openflow.PacketIn, xid 
 	var directed []controller.Directed
 	if p.tm != nil && p.tm.Covered(sw, frame.DstIP, out) {
 		// An aggregate rule already forwards this destination: skip the
-		// per-flow install and only release the buffered packet (mirroring
-		// InstallMessages' packet_out shape).
-		po := &openflow.PacketOut{
-			BufferID: pi.BufferID,
-			InPort:   pi.InPort,
-			Actions:  []openflow.Action{&openflow.ActionOutput{Port: out, MaxLen: 0xffff}},
-		}
-		if pi.BufferID == openflow.NoBuffer {
-			po.Data = pi.Data
-		}
-		directed = append(directed, controller.Directed{Conn: conn, Msg: po})
+		// per-flow install and only release the buffered packet.
+		actions := []openflow.Action{&openflow.ActionOutput{Port: out, MaxLen: 0xffff}}
+		directed = append(directed, controller.Directed{Conn: conn, Msg: controller.Release(pi, actions)})
 	} else {
-		msgs := p.cfg.InstallMessages(pi, frame, out)
-		directed = make([]controller.Directed, 0, len(msgs))
-		for _, m := range msgs {
-			directed = append(directed, controller.Directed{Conn: conn, Msg: m})
-		}
+		directed = p.cfg.Install(conn, pi, frame, out)
 		directed = p.noteInstall(directed, conn, sw, p.cfg.MatchFor(pi.InPort, frame), frame.DstIP, out)
 	}
 	if p.mode != InstallPath {
