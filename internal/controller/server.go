@@ -656,7 +656,22 @@ func (s *Server) serve(sc *switchConn) {
 	// two per message (header, then body).
 	r := openflow.NewReader(bufio.NewReader(sc.conn))
 	for {
-		m, inXid, err := r.ReadMessage()
+		frame, err := r.ReadFrame()
+		var m openflow.Message
+		var inXid uint32
+		if err == nil {
+			m, inXid, err = openflow.Decode(frame)
+		}
+		if errors.Is(err, openflow.ErrUnknownType) {
+			// A well-framed message the codec does not implement (a
+			// STATS_REPLY, say): the reader consumed all of it, so the
+			// stream is still aligned. Note it and keep serving.
+			sc.mu.Lock()
+			sc.lastRecv = time.Now()
+			sc.mu.Unlock()
+			s.logf("controller: conn %d: ignoring %v (xid %d)", sc.id, openflow.MsgType(frame[1]), inXid)
+			continue
+		}
 		if err != nil {
 			sc.mu.Lock()
 			state := sc.state
@@ -771,9 +786,6 @@ func (s *Server) dispatch(sc *switchConn, m openflow.Message, xid uint32) error 
 			err = s.dispatch(sc, held[0].m, held[0].xid)
 		}
 		return err
-	case *openflow.StatsReply:
-		s.logf("controller: conn %d: stats reply (%v)", sc.id, t.StatsType)
-		return nil
 	case *openflow.Hello, *openflow.EchoReply, *openflow.BarrierReply,
 		*openflow.GetConfigReply, *openflow.Vendor:
 		return nil

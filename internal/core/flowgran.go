@@ -119,6 +119,10 @@ func (m *FlowGranularity) SetRetryPolicy(p RetryPolicy) error {
 // RetryPolicy reports the installed hardening policy.
 func (m *FlowGranularity) RetryPolicy() RetryPolicy { return m.retry }
 
+// SetMissSendLen implements Mechanism. A flow already buffered keeps the
+// packet_in it was announced with for its re-requests.
+func (m *FlowGranularity) SetMissSendLen(n int) { m.missSendLen = n }
+
 // SetTelemetry wires the recorder the mechanism emits buffer-lifecycle
 // spans and flow-record updates into (nil disables; the default).
 func (m *FlowGranularity) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }

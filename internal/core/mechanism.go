@@ -67,6 +67,10 @@ type Mechanism interface {
 	// (flow granularity) after a timeout, and expired buffer drops.
 	Tick(now time.Duration) []*openflow.PacketIn
 
+	// SetMissSendLen sets how many bytes of a buffered packet the packet_ins
+	// from now on carry (a controller's SET_CONFIG miss_send_len; n > 0).
+	SetMissSendLen(n int)
+
 	// Stats reports the mechanism's counters and occupancy snapshot.
 	Stats(now time.Duration) openflow.FlowBufferStats
 
@@ -126,6 +130,9 @@ func (*NoBuffer) Release(_ time.Duration, bufferID uint32) ([]Released, error) {
 func (*NoBuffer) Drop(_ time.Duration, bufferID uint32) error {
 	return fmt.Errorf("%w: %d (buffering disabled)", ErrUnknownBufferID, bufferID)
 }
+
+// SetMissSendLen implements Mechanism: nothing is truncated.
+func (*NoBuffer) SetMissSendLen(int) {}
 
 // NextDeadline implements Mechanism: never.
 func (*NoBuffer) NextDeadline() (time.Duration, bool) { return 0, false }

@@ -48,6 +48,9 @@ func (*PacketGranularity) Granularity() openflow.BufferGranularity {
 	return openflow.GranularityPacket
 }
 
+// SetMissSendLen implements Mechanism.
+func (m *PacketGranularity) SetMissSendLen(n int) { m.missSendLen = n }
+
 // SetTelemetry wires the recorder the mechanism emits buffer-enqueue spans
 // into (nil disables; the default).
 func (m *PacketGranularity) SetTelemetry(rec *telemetry.Recorder) { m.tel = rec }

@@ -765,15 +765,6 @@ func (t *Table) NextExpiry() (time.Duration, bool) {
 	return at, e != nil
 }
 
-// Entries returns a snapshot copy of the rule list (for stats and tests).
-func (t *Table) Entries() []*Entry {
-	out := make([]*Entry, 0, t.n)
-	for e := t.head; e != nil; e = e.next {
-		out = append(out, e)
-	}
-	return out
-}
-
 // IndexSize reports how many rules are served by the exact-pattern tuple
 // (the PR-2 hash-index fast path) versus other wildcard patterns
 // (diagnostics and tests).

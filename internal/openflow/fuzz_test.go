@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 )
@@ -40,9 +41,14 @@ func fuzzSeedMessages(tb testing.TB) [][]byte {
 		&PortStatus{Reason: 1, Desc: PhyPort{PortNo: 3, Name: "p3"}},
 		&BarrierRequest{},
 		&BarrierReply{},
-		&StatsRequest{StatsType: StatsDesc},
-		&StatsRequest{StatsType: StatsFlow, TableID: 0xff, OutPort: PortNone},
-		&StatsReply{StatsType: StatsDesc, Desc: &DescStats{}},
+		// A switch's refusal of a type it does not implement, a capacity
+		// eviction, and the enqueue and MAC-rewrite actions.
+		&ErrorMsg{ErrType: ErrTypeBadRequest, Code: ErrCodeBadType, Data: make([]byte, 64)},
+		&FlowRemoved{Priority: 10, Reason: RemovedEviction, DurationSec: 3, PacketCount: 2, ByteCount: 128},
+		&PacketOut{
+			BufferID: 9, InPort: 2,
+			Actions: []Action{&ActionSetDLDst{Addr: [6]byte{2, 0, 0, 0, 0, 2}}, &ActionEnqueue{Port: 1, QueueID: 3}},
+		},
 	}
 	cfg, err := EncodeFlowBufferConfig(FlowBufferConfig{
 		Granularity:        GranularityFlow,
@@ -91,11 +97,12 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// FuzzVendorDecode targets the flow-buffer vendor codec: ParseVendor must
-// never panic on arbitrary payload bytes, and any payload it accepts must
-// survive a re-encode/re-parse round trip (legacy-length bodies re-encode to
-// the extended layout with the new fields zero, which the round-trip
-// comparison tolerates by re-parsing rather than comparing bytes).
+// FuzzVendorDecode targets the flow-buffer vendor codec:
+// ParseFlowBufferConfig must never panic on arbitrary payload bytes, and any
+// payload it accepts must survive a re-encode/re-parse round trip
+// (legacy-length bodies re-encode to the extended layout with the new fields
+// zero, which the round-trip comparison tolerates by re-parsing rather than
+// comparing bytes).
 func FuzzVendorDecode(f *testing.F) {
 	cfg, err := EncodeFlowBufferConfig(FlowBufferConfig{
 		Granularity:         GranularityFlow,
@@ -108,36 +115,28 @@ func FuzzVendorDecode(f *testing.F) {
 		f.Fatalf("EncodeFlowBufferConfig: %v", err)
 	}
 	f.Add(cfg.Data)
-	f.Add(EncodeFlowBufferStatsRequest().Data)
-	f.Add(EncodeFlowBufferStats(FlowBufferStats{
-		UnitsInUse: 3, UnitsCapacity: 256, PacketIns: 10, Rerequests: 2, Giveups: 1,
-	}).Data)
+	unknown := append([]byte(nil), cfg.Data...)
+	binary.BigEndian.PutUint16(unknown[0:2], 3) // an unknown subtype
+	f.Add(unknown)
+	badGranularity := append([]byte(nil), cfg.Data...)
+	badGranularity[4] = 0
+	f.Add(badGranularity)
 	f.Add(cfg.Data[:4+12]) // legacy config body
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, err := ParseVendor(&Vendor{Vendor: VendorID, Data: data})
+		c, err := ParseFlowBufferConfig(&Vendor{Vendor: VendorID, Data: data})
 		if err != nil {
 			return // rejected input; not panicking is the property
 		}
-		var re *Vendor
-		switch {
-		case p.Config != nil:
-			re, err = EncodeFlowBufferConfig(*p.Config)
-			if err != nil {
-				t.Fatalf("accepted config %+v does not re-encode: %v", p.Config, err)
-			}
-		case p.StatsRequest:
-			re = EncodeFlowBufferStatsRequest()
-		case p.Stats != nil:
-			re = EncodeFlowBufferStats(*p.Stats)
-		default:
-			t.Fatalf("ParseVendor returned empty payload for %x", data)
+		re, err := EncodeFlowBufferConfig(c)
+		if err != nil {
+			t.Fatalf("accepted config %+v does not re-encode: %v", c, err)
 		}
-		p2, err := ParseVendor(re)
+		c2, err := ParseFlowBufferConfig(re)
 		if err != nil {
 			t.Fatalf("re-encoded payload does not parse: %v", err)
 		}
-		if !reflect.DeepEqual(p, p2) {
-			t.Fatalf("payload not equivalent across re-encode:\nfirst:  %#v\nsecond: %#v", p, p2)
+		if c != c2 {
+			t.Fatalf("config not equivalent across re-encode:\nfirst:  %#v\nsecond: %#v", c, c2)
 		}
 	})
 }

@@ -89,10 +89,6 @@ func (t MsgType) String() string {
 		return "PACKET_OUT"
 	case TypeFlowMod:
 		return "FLOW_MOD"
-	case TypeStatsRequest:
-		return "STATS_REQUEST"
-	case TypeStatsReply:
-		return "STATS_REPLY"
 	case TypeBarrierRequest:
 		return "BARRIER_REQUEST"
 	case TypeBarrierReply:
@@ -298,10 +294,6 @@ func newMessage(t MsgType) (Message, error) {
 		return AcquirePacketOut(), nil
 	case TypeFlowMod:
 		return AcquireFlowMod(), nil
-	case TypeStatsRequest:
-		return &StatsRequest{}, nil
-	case TypeStatsReply:
-		return &StatsReply{}, nil
 	case TypeBarrierRequest:
 		return &BarrierRequest{}, nil
 	case TypeBarrierReply:
@@ -415,28 +407,40 @@ type Reader struct {
 // NewReader wraps a stream for framed message reads.
 func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 
-// ReadMessage reads the next complete message. On a cleanly closed stream it
-// returns io.EOF.
+// ReadMessage reads and decodes the next complete message. On a cleanly
+// closed stream it returns io.EOF.
 func (r *Reader) ReadMessage() (Message, uint32, error) {
+	frame, err := r.ReadFrame()
+	if err != nil {
+		return nil, 0, err
+	}
+	return Decode(frame)
+}
+
+// ReadFrame reads the next complete frame (header + body) without decoding
+// it, so a reader that cannot decode a frame (ErrUnknownType) still has its
+// bytes and stays aligned on the stream. On a cleanly closed stream it
+// returns io.EOF.
+func (r *Reader) ReadFrame() ([]byte, error) {
 	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
 		if errors.Is(err, io.EOF) {
-			return nil, 0, io.EOF
+			return nil, io.EOF
 		}
-		return nil, 0, fmt.Errorf("openflow: reading header: %w", err)
+		return nil, fmt.Errorf("openflow: reading header: %w", err)
 	}
 	length := int(binary.BigEndian.Uint16(r.hdr[2:4]))
 	if length < HeaderLen {
-		return nil, 0, fmt.Errorf("%w: %d", ErrBadLength, length)
+		return nil, fmt.Errorf("%w: %d", ErrBadLength, length)
 	}
 	if length > MaxMessageLen {
-		return nil, 0, fmt.Errorf("%w: %d", ErrMessageTooLong, length)
+		return nil, fmt.Errorf("%w: %d", ErrMessageTooLong, length)
 	}
 	frame := make([]byte, length)
 	copy(frame, r.hdr[:])
 	if _, err := io.ReadFull(r.r, frame[HeaderLen:]); err != nil {
-		return nil, 0, fmt.Errorf("openflow: reading %d-byte body: %w", length-HeaderLen, err)
+		return nil, fmt.Errorf("openflow: reading %d-byte body: %w", length-HeaderLen, err)
 	}
-	return Decode(frame)
+	return frame, nil
 }
 
 // EncodedLen reports the full frame length of a message without encoding it;

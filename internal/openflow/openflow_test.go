@@ -426,68 +426,31 @@ func TestVendorFlowBufferConfigRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("EncodeFlowBufferConfig: %v", err)
 	}
-	got := roundTrip(t, v, 20).(*Vendor)
-	payload, err := ParseVendor(got)
+	got, err := ParseFlowBufferConfig(roundTrip(t, v, 20).(*Vendor))
 	if err != nil {
-		t.Fatalf("ParseVendor: %v", err)
+		t.Fatalf("ParseFlowBufferConfig: %v", err)
 	}
-	if payload.Config == nil || *payload.Config != cfg {
-		t.Errorf("config = %+v, want %+v", payload.Config, cfg)
-	}
-}
-
-func TestVendorFlowBufferStatsRoundTrip(t *testing.T) {
-	s := FlowBufferStats{
-		UnitsInUse: 5, UnitsCapacity: 256, FlowsBuffered: 3,
-		PacketIns: 100, Rerequests: 2, DroppedNoBuffer: 1, Giveups: 4,
-	}
-	got := roundTrip(t, EncodeFlowBufferStats(s), 21).(*Vendor)
-	payload, err := ParseVendor(got)
-	if err != nil {
-		t.Fatalf("ParseVendor: %v", err)
-	}
-	if payload.Stats == nil || *payload.Stats != s {
-		t.Errorf("stats = %+v, want %+v", payload.Stats, s)
-	}
-
-	req := roundTrip(t, EncodeFlowBufferStatsRequest(), 22).(*Vendor)
-	p2, err := ParseVendor(req)
-	if err != nil {
-		t.Fatalf("ParseVendor(request): %v", err)
-	}
-	if !p2.StatsRequest {
-		t.Error("stats request not recognized")
+	if got != cfg {
+		t.Errorf("config = %+v, want %+v", got, cfg)
 	}
 }
 
 // TestVendorLegacyBodies pins wire compatibility with pre-retry-policy
-// peers: the original 12-byte config and 36-byte stats bodies must still
-// parse, with the new fields decoding as zero (retry-forever semantics).
+// peers: the original 12-byte config body must still parse, with the new
+// fields decoding as zero (retry-forever semantics).
 func TestVendorLegacyBodies(t *testing.T) {
 	cfg := make([]byte, 4+12)
 	binary.BigEndian.PutUint16(cfg[0:2], FlowBufSubtypeConfig)
 	cfg[4] = uint8(GranularityFlow)
 	binary.BigEndian.PutUint32(cfg[8:12], 50)
 	binary.BigEndian.PutUint32(cfg[12:16], 64)
-	p, err := ParseVendor(&Vendor{Vendor: VendorID, Data: cfg})
+	got, err := ParseFlowBufferConfig(&Vendor{Vendor: VendorID, Data: cfg})
 	if err != nil {
-		t.Fatalf("ParseVendor(legacy config): %v", err)
+		t.Fatalf("ParseFlowBufferConfig(legacy config): %v", err)
 	}
 	want := FlowBufferConfig{Granularity: GranularityFlow, RerequestTimeoutMs: 50, MaxPacketsPerFlow: 64}
-	if p.Config == nil || *p.Config != want {
-		t.Errorf("legacy config = %+v, want %+v", p.Config, want)
-	}
-
-	st := make([]byte, 4+36)
-	binary.BigEndian.PutUint16(st[0:2], FlowBufSubtypeStatsReply)
-	binary.BigEndian.PutUint32(st[4:8], 7)
-	binary.BigEndian.PutUint64(st[24:32], 3)
-	ps, err := ParseVendor(&Vendor{Vendor: VendorID, Data: st})
-	if err != nil {
-		t.Fatalf("ParseVendor(legacy stats): %v", err)
-	}
-	if ps.Stats == nil || ps.Stats.UnitsInUse != 7 || ps.Stats.Rerequests != 3 || ps.Stats.Giveups != 0 {
-		t.Errorf("legacy stats = %+v", ps.Stats)
+	if got != want {
+		t.Errorf("legacy config = %+v, want %+v", got, want)
 	}
 }
 
@@ -495,16 +458,19 @@ func TestVendorRejections(t *testing.T) {
 	if _, err := EncodeFlowBufferConfig(FlowBufferConfig{}); err == nil {
 		t.Error("EncodeFlowBufferConfig accepted zero granularity")
 	}
-	if _, err := ParseVendor(&Vendor{Vendor: 0x1234}); !errors.Is(err, ErrForeignVendor) {
+	if _, err := ParseFlowBufferConfig(&Vendor{Vendor: 0x1234}); !errors.Is(err, ErrForeignVendor) {
 		t.Errorf("foreign vendor error = %v", err)
 	}
-	if _, err := ParseVendor(&Vendor{Vendor: VendorID, Data: []byte{0}}); err == nil {
-		t.Error("ParseVendor accepted truncated payload")
+	if _, err := ParseFlowBufferConfig(&Vendor{Vendor: VendorID, Data: []byte{0}}); err == nil {
+		t.Error("ParseFlowBufferConfig accepted truncated payload")
 	}
-	bad := EncodeFlowBufferStatsRequest()
+	bad, err := EncodeFlowBufferConfig(FlowBufferConfig{Granularity: GranularityFlow})
+	if err != nil {
+		t.Fatal(err)
+	}
 	binary.BigEndian.PutUint16(bad.Data[0:2], 99)
-	if _, err := ParseVendor(bad); err == nil {
-		t.Error("ParseVendor accepted unknown subtype")
+	if _, err := ParseFlowBufferConfig(bad); err == nil {
+		t.Error("ParseFlowBufferConfig accepted unknown subtype")
 	}
 }
 

@@ -9,18 +9,13 @@ import (
 // the paper's flow-granularity buffer mechanism. The OpenFlow buffer model
 // itself (buffer_id in packet_in / packet_out / flow_mod) is standard; what
 // the paper adds — one buffer_id per flow, shared by all queued packets, with
-// a re-request timeout — needs extra configuration and statistics messages,
-// and the spec's extension point for those is the vendor (experimenter)
-// message.
+// a re-request timeout — needs a configuration message, and the spec's
+// extension point for that is the vendor (experimenter) message.
 const VendorID uint32 = 0x00F17B0F
 
-// Vendor subtypes for the flow-granularity buffer extension.
-const (
-	FlowBufSubtypeConfig       uint16 = 1
-	FlowBufSubtypeConfigReply  uint16 = 2
-	FlowBufSubtypeStatsRequest uint16 = 3
-	FlowBufSubtypeStatsReply   uint16 = 4
-)
+// FlowBufSubtypeConfig is the vendor subtype of the flow-granularity buffer
+// extension's one message, FlowBufferConfig.
+const FlowBufSubtypeConfig uint16 = 1
 
 // Buffer granularity modes carried by FlowBufferConfig.
 type BufferGranularity uint8
@@ -59,8 +54,8 @@ func (g BufferGranularity) Valid() bool {
 }
 
 // Vendor is the raw experimenter message: a vendor id plus opaque payload.
-// Typed extension bodies are encoded into / decoded from Data with
-// EncodeFlowBufferConfig and ParseVendor.
+// The extension's body is encoded into / decoded from Data with
+// EncodeFlowBufferConfig and ParseFlowBufferConfig.
 type Vendor struct {
 	Vendor uint32
 	Data   []byte
@@ -126,12 +121,10 @@ func EncodeFlowBufferConfig(c FlowBufferConfig) (*Vendor, error) {
 	return &Vendor{Vendor: VendorID, Data: data}, nil
 }
 
-// FlowBufferStats reports buffer occupancy and mechanism counters
-// (switch-to-controller, answering a stats request). Giveups counts flows
-// abandoned after exhausting the re-request budget; their queued packets are
-// reported through the mechanism's fallback counter, not lost. A legacy
-// 36-byte stats body decodes with Giveups == 0, and a 44-byte body with the
-// byte-occupancy fields zero — older peers keep interoperating.
+// FlowBufferStats reports buffer occupancy and mechanism counters, as
+// core.Mechanism.Stats returns them. Giveups counts flows abandoned after
+// exhausting the re-request budget; their queued packets are reported
+// through the mechanism's fallback counter, not lost.
 //
 // BytesInUse / BytesHighWater / RejectedBytes report the pool's byte
 // accounting (the paper's Fig. 10 utilization axis): current buffered
@@ -149,101 +142,38 @@ type FlowBufferStats struct {
 	RejectedBytes   uint64
 }
 
-const (
-	flowBufferStatsLenV1 = 4 + 36
-	flowBufferStatsLenV2 = 4 + 44
-	flowBufferStatsLen   = 4 + 68
-)
-
-// EncodeFlowBufferStatsRequest builds the stats request Vendor message.
-func EncodeFlowBufferStatsRequest() *Vendor {
-	data := make([]byte, 4)
-	binary.BigEndian.PutUint16(data[0:2], FlowBufSubtypeStatsRequest)
-	return &Vendor{Vendor: VendorID, Data: data}
-}
-
-// EncodeFlowBufferStats wraps the stats into a Vendor reply message.
-func EncodeFlowBufferStats(s FlowBufferStats) *Vendor {
-	data := make([]byte, flowBufferStatsLen)
-	binary.BigEndian.PutUint16(data[0:2], FlowBufSubtypeStatsReply)
-	binary.BigEndian.PutUint32(data[4:8], s.UnitsInUse)
-	binary.BigEndian.PutUint32(data[8:12], s.UnitsCapacity)
-	binary.BigEndian.PutUint32(data[12:16], s.FlowsBuffered)
-	binary.BigEndian.PutUint64(data[16:24], s.PacketIns)
-	binary.BigEndian.PutUint64(data[24:32], s.Rerequests)
-	binary.BigEndian.PutUint64(data[32:40], s.DroppedNoBuffer)
-	binary.BigEndian.PutUint64(data[40:48], s.Giveups)
-	binary.BigEndian.PutUint64(data[48:56], s.BytesInUse)
-	binary.BigEndian.PutUint64(data[56:64], s.BytesHighWater)
-	binary.BigEndian.PutUint64(data[64:72], s.RejectedBytes)
-	return &Vendor{Vendor: VendorID, Data: data}
-}
-
-// VendorPayload is the decoded form of one of this extension's messages:
-// exactly one field is non-nil.
-type VendorPayload struct {
-	Config       *FlowBufferConfig
-	StatsRequest bool
-	Stats        *FlowBufferStats
-}
-
 // ErrForeignVendor reports a vendor message from a different experimenter.
 var ErrForeignVendor = fmt.Errorf("openflow: vendor message from foreign experimenter")
 
-// ParseVendor decodes a Vendor message belonging to this extension.
-func ParseVendor(v *Vendor) (*VendorPayload, error) {
+// ParseFlowBufferConfig decodes this extension's FlowBufferConfig from a
+// Vendor message.
+func ParseFlowBufferConfig(v *Vendor) (FlowBufferConfig, error) {
 	if v.Vendor != VendorID {
-		return nil, fmt.Errorf("%w: 0x%08x", ErrForeignVendor, v.Vendor)
+		return FlowBufferConfig{}, fmt.Errorf("%w: 0x%08x", ErrForeignVendor, v.Vendor)
 	}
 	if len(v.Data) < 4 {
-		return nil, fmt.Errorf("%w: vendor payload needs subheader", ErrTruncated)
+		return FlowBufferConfig{}, fmt.Errorf("%w: vendor payload needs subheader", ErrTruncated)
 	}
-	subtype := binary.BigEndian.Uint16(v.Data[0:2])
-	switch subtype {
-	case FlowBufSubtypeConfig:
-		// Accept the legacy 12-byte body (pre-retry-policy peers) alongside
-		// the extended 20-byte body; missing fields decode as zero, which
-		// means retry-forever — the legacy semantics.
-		if len(v.Data) < flowBufferConfigLenV1 {
-			return nil, fmt.Errorf("%w: flow buffer config payload %d bytes", ErrTruncated, len(v.Data))
-		}
-		c := &FlowBufferConfig{
-			Granularity:        BufferGranularity(v.Data[4]),
-			RerequestTimeoutMs: binary.BigEndian.Uint32(v.Data[8:12]),
-			MaxPacketsPerFlow:  binary.BigEndian.Uint32(v.Data[12:16]),
-		}
-		if len(v.Data) >= flowBufferConfigLen {
-			c.MaxRerequests = binary.BigEndian.Uint32(v.Data[16:20])
-			c.RerequestBackoffPct = binary.BigEndian.Uint32(v.Data[20:24])
-		}
-		if !c.Granularity.Valid() {
-			return nil, fmt.Errorf("openflow: invalid buffer granularity %d", v.Data[4])
-		}
-		return &VendorPayload{Config: c}, nil
-	case FlowBufSubtypeStatsRequest:
-		return &VendorPayload{StatsRequest: true}, nil
-	case FlowBufSubtypeStatsReply:
-		if len(v.Data) < flowBufferStatsLenV1 {
-			return nil, fmt.Errorf("%w: flow buffer stats payload %d bytes", ErrTruncated, len(v.Data))
-		}
-		s := &FlowBufferStats{
-			UnitsInUse:      binary.BigEndian.Uint32(v.Data[4:8]),
-			UnitsCapacity:   binary.BigEndian.Uint32(v.Data[8:12]),
-			FlowsBuffered:   binary.BigEndian.Uint32(v.Data[12:16]),
-			PacketIns:       binary.BigEndian.Uint64(v.Data[16:24]),
-			Rerequests:      binary.BigEndian.Uint64(v.Data[24:32]),
-			DroppedNoBuffer: binary.BigEndian.Uint64(v.Data[32:40]),
-		}
-		if len(v.Data) >= flowBufferStatsLenV2 {
-			s.Giveups = binary.BigEndian.Uint64(v.Data[40:48])
-		}
-		if len(v.Data) >= flowBufferStatsLen {
-			s.BytesInUse = binary.BigEndian.Uint64(v.Data[48:56])
-			s.BytesHighWater = binary.BigEndian.Uint64(v.Data[56:64])
-			s.RejectedBytes = binary.BigEndian.Uint64(v.Data[64:72])
-		}
-		return &VendorPayload{Stats: s}, nil
-	default:
-		return nil, fmt.Errorf("openflow: unknown flow buffer subtype %d", subtype)
+	if subtype := binary.BigEndian.Uint16(v.Data[0:2]); subtype != FlowBufSubtypeConfig {
+		return FlowBufferConfig{}, fmt.Errorf("openflow: unknown flow buffer subtype %d", subtype)
 	}
+	// Accept the legacy 12-byte body (pre-retry-policy peers) alongside the
+	// extended 20-byte body; missing fields decode as zero, which means
+	// retry-forever — the legacy semantics.
+	if len(v.Data) < flowBufferConfigLenV1 {
+		return FlowBufferConfig{}, fmt.Errorf("%w: flow buffer config payload %d bytes", ErrTruncated, len(v.Data))
+	}
+	c := FlowBufferConfig{
+		Granularity:        BufferGranularity(v.Data[4]),
+		RerequestTimeoutMs: binary.BigEndian.Uint32(v.Data[8:12]),
+		MaxPacketsPerFlow:  binary.BigEndian.Uint32(v.Data[12:16]),
+	}
+	if len(v.Data) >= flowBufferConfigLen {
+		c.MaxRerequests = binary.BigEndian.Uint32(v.Data[16:20])
+		c.RerequestBackoffPct = binary.BigEndian.Uint32(v.Data[20:24])
+	}
+	if !c.Granularity.Valid() {
+		return FlowBufferConfig{}, fmt.Errorf("openflow: invalid buffer granularity %d", v.Data[4])
+	}
+	return c, nil
 }

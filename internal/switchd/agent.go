@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"sdnbuffer/internal/core"
 	"sdnbuffer/internal/openflow"
 	"sdnbuffer/internal/telemetry"
 )
@@ -119,14 +118,10 @@ type Agent struct {
 	echoGen uint64 // invalidates in-flight echo timer fires on Close/reconnect
 	disc    bool   // OnDisconnect already fired for this connection
 
-	// The one mechanism/table deadline timer (DESIGN.md §18). While armed,
-	// tickT is pending for armedAt (agent clock), which is at or before every
-	// deadline the mechanism and the table hold: a wake-up may come early,
-	// never late. tickT is created by the first arm and only Reset after.
-	tickT   *time.Timer
-	armed   bool
-	armedAt time.Duration
-	timers  TimerStats
+	// The datapath's deadline timer (DESIGN.md §18): tickT is its one
+	// wake-up, created by the first arm and only Reset after.
+	timer deadlineTimer
+	tickT *time.Timer
 
 	// lastEcho is the agent-clock instant of the last inbound message; the
 	// read loop stores it per message without taking mu.
@@ -149,7 +144,7 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 	if seed == 0 {
 		seed = time.Now().UnixNano()
 	}
-	return &Agent{
+	a := &Agent{
 		dp:           dp,
 		logger:       cfg.Logger,
 		echoInterval: cfg.EchoInterval,
@@ -161,7 +156,9 @@ func NewAgent(cfg AgentConfig) (*Agent, error) {
 		rng:          rand.New(rand.NewSource(seed)),
 		stop:         make(chan struct{}),
 		start:        time.Now(),
-	}, nil
+	}
+	a.timer = deadlineTimer{dp: dp, set: a.setTick, stop: a.stopTick}
+	return a, nil
 }
 
 // SetTransmit wires the data-plane egress callback. Must be set before
@@ -209,24 +206,11 @@ func (a *Agent) Stats() (rxFrames, rxBytes, txFrames, txBytes, misses uint64) {
 	return a.dp.Stats()
 }
 
-// TimerStats counts the work of the agent's deadline timer. A workload whose
-// EarlyTicks approach its Ticks is waking for rules that were hit since the
-// timer was set; one whose Rearms approach its frame count is re-arming on
-// the data path, which a table hit must never do.
-type TimerStats struct {
-	// Ticks is the number of timer fires handled.
-	Ticks uint64
-	// EarlyTicks is the fires that found nothing due and only re-armed.
-	EarlyTicks uint64
-	// Rearms is the number of times the timer was set.
-	Rearms uint64
-}
-
 // TimerStats reports the deadline timer's counters, safely.
 func (a *Agent) TimerStats() TimerStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.timers
+	return a.timer.stats
 }
 
 // ControlDown reports whether the datapath is currently in its fail mode,
@@ -246,8 +230,11 @@ func (a *Agent) logf(format string, args ...any) {
 // now reports the agent-relative clock the datapath runs on.
 func (a *Agent) now() time.Duration { return time.Since(a.start) }
 
-// Connect dials the controller and starts the message loop. It performs the
-// OpenFlow handshake inline and returns once the connection is serving.
+// Connect dials the controller, sends HELLO and starts the read loop, and
+// returns then: it does not wait for the controller's side of the handshake.
+// Frames injected from then on are served — a miss reaches the controller
+// as a packet_in, which may arrive before the switch has answered
+// FEATURES_REQUEST; controller.Server holds such messages until it has.
 func (a *Agent) Connect(addr string) error {
 	conn, err := net.DialTimeout("tcp", addr, a.dialTimeout)
 	if err != nil {
@@ -439,7 +426,21 @@ func (a *Agent) write(w *openflow.Writer, conn net.Conn, m openflow.Message, xid
 func (a *Agent) readLoop(conn net.Conn) {
 	r := openflow.NewReader(conn)
 	for {
-		m, xid, err := r.ReadMessage()
+		frame, err := r.ReadFrame()
+		var m openflow.Message
+		var xid uint32
+		if err == nil {
+			m, xid, err = openflow.Decode(frame)
+		}
+		if errors.Is(err, openflow.ErrUnknownType) {
+			// The reader consumed the whole frame, so the stream is still
+			// aligned: refuse the message and keep reading.
+			a.lastEcho.Store(int64(a.now()))
+			if err := a.send(badTypeError(frame), xid); err != nil {
+				a.logf("switch: refusing %v: %v", openflow.MsgType(frame[1]), err)
+			}
+			continue
+		}
 		if err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				a.logf("switch: read: %v", err)
@@ -448,138 +449,37 @@ func (a *Agent) readLoop(conn net.Conn) {
 			return
 		}
 		a.lastEcho.Store(int64(a.now())) // any inbound traffic proves liveness
-		if err := a.dispatch(m, xid); err != nil {
+		if err := a.control(m, xid); err != nil {
 			a.logf("switch: handling %v: %v", m.Type(), err)
 		}
+		openflow.ReleaseMessage(m)
 	}
 }
 
-func (a *Agent) dispatch(m openflow.Message, xid uint32) error {
-	switch t := m.(type) {
-	case *openflow.Hello:
-		return nil
-	case *openflow.EchoRequest:
-		return a.send(&openflow.EchoReply{Data: t.Data}, xid)
-	case *openflow.FeaturesRequest:
-		a.mu.Lock()
-		fr := a.dp.Features()
-		a.mu.Unlock()
-		return a.send(fr, xid)
-	case *openflow.GetConfigRequest:
-		a.mu.Lock()
-		msl := uint16(a.dp.cfg.MissSendLen)
-		a.mu.Unlock()
-		return a.send(&openflow.GetConfigReply{Config: openflow.SwitchConfig{MissSendLen: msl}}, xid)
-	case *openflow.SetConfig:
-		a.mu.Lock()
-		if t.Config.MissSendLen > 0 {
-			a.dp.cfg.MissSendLen = int(t.Config.MissSendLen)
-		}
-		a.mu.Unlock()
-		return nil
-	case *openflow.BarrierRequest:
-		return a.send(&openflow.BarrierReply{}, xid)
-	case *openflow.StatsRequest:
-		a.mu.Lock()
-		sr := a.dp.HandleStatsRequest(a.now(), t)
-		a.mu.Unlock()
-		if sr == nil {
-			return a.send(&openflow.ErrorMsg{
-				ErrType: openflow.ErrTypeBadRequest,
-				Code:    openflow.ErrCodeBadType,
-			}, xid)
-		}
-		return a.send(sr, xid)
-	case *openflow.FlowMod:
-		return a.control(xid, func(now time.Duration) (*ControlResult, error) {
-			return a.dp.HandleFlowMod(now, t)
-		})
-	case *openflow.PacketOut:
-		return a.control(xid, func(now time.Duration) (*ControlResult, error) {
-			return a.dp.HandlePacketOut(now, t)
-		})
-	case *openflow.Vendor:
-		return a.handleVendor(t, xid)
-	default:
-		a.logf("switch: ignoring %v", m.Type())
-		return nil
-	}
-}
-
-// control runs a datapath mutation under the lock and emits its effects.
-func (a *Agent) control(xid uint32, f func(now time.Duration) (*ControlResult, error)) error {
+// control runs one controller message through the datapath under the lock,
+// arms for any deadline it brought forward, and then emits its effects.
+func (a *Agent) control(m openflow.Message, xid uint32) error {
 	a.mu.Lock()
-	res, err := f(a.now())
-	var outs []Output
-	var removed []*openflow.FlowRemoved
-	var reply openflow.Message
-	if err == nil && res != nil {
-		outs = res.Outputs
-		reply = res.Reply
-		for _, r := range res.Removed {
-			if fr := a.dp.FlowRemovedFor(r); fr != nil {
-				removed = append(removed, fr)
-			}
-		}
-	}
+	res, err := a.dp.Control(a.now(), m, xid)
 	// An installed rule or a release can bring a deadline forward, and it has
 	// happened whether or not the replies below get out: arm for it here.
-	a.armEarliestLocked()
+	a.timer.arm()
 	tx := a.transmit
 	w, conn := a.writer, a.conn
 	a.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	for _, o := range outs {
+	for _, o := range res.Outputs {
 		if tx != nil {
 			tx(o.Port, o.Frame)
 		}
 	}
-	for _, fr := range removed {
-		if err := a.write(w, conn, fr, xid); err != nil {
+	for _, reply := range res.Msgs {
+		if err := a.write(w, conn, reply, xid); err != nil {
 			return err
 		}
 	}
-	if reply != nil {
-		return a.write(w, conn, reply, xid)
-	}
-	return nil
-}
-
-func (a *Agent) handleVendor(v *openflow.Vendor, xid uint32) error {
-	payload, err := openflow.ParseVendor(v)
-	if err != nil {
-		return err
-	}
-	switch {
-	case payload.Config != nil:
-		return a.reconfigureBuffer(*payload.Config)
-	case payload.StatsRequest:
-		a.mu.Lock()
-		stats := a.dp.Mechanism().Stats(a.now())
-		a.mu.Unlock()
-		return a.send(openflow.EncodeFlowBufferStats(stats), xid)
-	default:
-		return nil
-	}
-}
-
-// reconfigureBuffer swaps the buffer mechanism at runtime. It refuses while
-// packets are buffered: dropping them silently would lose traffic.
-func (a *Agent) reconfigureBuffer(cfg openflow.FlowBufferConfig) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if st := a.dp.Mechanism().Stats(a.now()); st.UnitsInUse > 0 {
-		return fmt.Errorf("switchd: cannot reconfigure buffer with %d units in use", st.UnitsInUse)
-	}
-	mech, err := core.NewMechanism(cfg, a.dp.cfg.BufferCapacity, a.dp.cfg.MissSendLen, a.dp.cfg.BufferExpiry)
-	if err != nil {
-		return err
-	}
-	a.dp.mech = mech
-	a.dp.cfg.Buffer = cfg
-	a.logf("switch: buffer reconfigured to %v", cfg.Granularity)
 	return nil
 }
 
@@ -607,14 +507,12 @@ func (a *Agent) InjectFrame(inPort uint16, frame []byte) error {
 	var xid uint32
 	var w *openflow.Writer
 	var conn net.Conn
-	if res.Matched == nil {
+	if res.Miss != nil {
 		// A miss can hand the mechanism a new deadline. A hit cannot: it only
 		// moves the matched rule's idle deadline later, which leaves the armed
 		// timer a valid, early wake-up — the hit path does no timer work.
-		if next, ok := a.dp.Mechanism().NextDeadline(); ok {
-			a.armLocked(next)
-		}
-		if res.Miss != nil && res.Miss.PacketIn != nil {
+		a.timer.arm()
+		if res.Miss.PacketIn != nil {
 			pi = res.Miss.PacketIn
 			a.nextXid++
 			xid, w, conn = a.nextXid, a.writer, a.conn
@@ -639,10 +537,8 @@ func (a *Agent) InjectFrame(inPort uint16, frame []byte) error {
 }
 
 // SetPortDown flips one data port's link state, as a NIC driver would on
-// carrier change. Taking the port down evicts rules egressing it (emitting
-// flow_removed where flagged) and announces the transition to the
-// controller with a port_status message; bringing it up announces only.
-// No-op when already in the target state, so repeated flaps do not
+// carrier change, and sends the controller what Datapath.SetPortDown
+// returns. No-op when already in the target state, so repeated flaps do not
 // re-notify. A dead control channel loses the notifications but not the
 // state change — the fail mode and reconnect path handle the rest.
 func (a *Agent) SetPortDown(port uint16, down bool) error {
@@ -651,29 +547,14 @@ func (a *Agent) SetPortDown(port uint16, down bool) error {
 		a.mu.Unlock()
 		return fmt.Errorf("switchd: agent closed")
 	}
-	if port >= 1 && int(port) <= a.dp.cfg.NumPorts && a.dp.PortDown(port) == down {
-		a.mu.Unlock()
-		return nil
-	}
-	removed, err := a.dp.SetPortDown(a.now(), port, down)
-	var msgs []openflow.Message
-	if err == nil {
-		for _, r := range removed {
-			if fr := a.dp.FlowRemovedFor(r); fr != nil {
-				msgs = append(msgs, fr)
-			}
-		}
-		msgs = append(msgs, &openflow.PortStatus{
-			Reason: openflow.PortReasonModify,
-			Desc:   a.dp.PhyPortDesc(port),
-		})
-	}
+	msgs, err := a.dp.SetPortDown(a.now(), port, down)
+	w, conn := a.writer, a.conn
 	a.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	for _, m := range msgs {
-		if err := a.send(m, a.xid()); err != nil {
+		if err := a.write(w, conn, m, 0); err != nil {
 			a.logf("switch: port_status lost (control channel down): %v", err)
 			return nil
 		}
@@ -681,70 +562,38 @@ func (a *Agent) SetPortDown(port uint16, down bool) error {
 	return nil
 }
 
-// armLocked makes sure the timer fires no later than deadline (agent clock).
-// A timer already armed at or before it does; only an earlier deadline, or
-// none armed, touches the timer. Callers hold a.mu.
-func (a *Agent) armLocked(deadline time.Duration) {
-	if a.closed || a.armed && a.armedAt <= deadline {
+// setTick (re)sets the agent's one deadline wake-up. Callers hold a.mu.
+func (a *Agent) setTick(at time.Duration) {
+	if a.closed {
 		return
 	}
-	delay := max(deadline-a.now(), 0)
+	delay := max(at-a.now(), 0)
 	if a.tickT == nil {
 		a.tickT = time.AfterFunc(delay, a.tick)
 	} else {
 		a.tickT.Reset(delay)
 	}
-	a.armed, a.armedAt = true, deadline
-	a.timers.Rearms++
 }
 
-// armEarliestLocked arms for the exact earliest deadline the mechanism and
-// the flow table hold, if any. Callers hold a.mu.
-func (a *Agent) armEarliestLocked() {
-	if next, ok := a.earliestLocked(); ok {
-		a.armLocked(next)
+// stopTick cancels the pending deadline wake-up. Callers hold a.mu.
+func (a *Agent) stopTick() {
+	if a.tickT != nil {
+		a.tickT.Stop()
 	}
 }
 
-func (a *Agent) earliestLocked() (time.Duration, bool) {
-	next, ok := a.dp.Mechanism().NextDeadline()
-	if exp, expOK := a.dp.Table().NextExpiry(); expOK && (!ok || exp < next) {
-		next, ok = exp, true
-	}
-	return next, ok
-}
-
-// tick is the timer's fire: run what is due, then re-arm from the exact next
-// deadline. A fire that finds nothing due — the rule it was set for has been
-// hit since, or a Reset raced it — only re-arms.
+// tick is the timer's fire: the datapath's due work under the lock, re-armed
+// from the exact next deadline, then the messages it owes the controller.
 func (a *Agent) tick() {
 	a.mu.Lock()
 	if a.closed {
 		a.mu.Unlock()
 		return
 	}
-	a.armed = false
-	a.timers.Ticks++
-	now := a.now()
-	var resend []*openflow.PacketIn
-	var removed []*openflow.FlowRemoved
-	next, ok := a.earliestLocked()
-	if ok && next <= now {
-		resend = a.dp.Mechanism().Tick(now)
-		for _, r := range a.dp.ExpireRules(now) {
-			if fr := a.dp.FlowRemovedFor(r); fr != nil {
-				removed = append(removed, fr)
-			}
-		}
-		next, ok = a.earliestLocked()
-	} else {
-		a.timers.EarlyTicks++
-	}
-	if ok {
-		a.armLocked(next)
-	}
+	rerequests, removed := a.timer.fire(a.now())
+	a.timer.arm()
 	a.mu.Unlock()
-	for _, pi := range resend {
+	for _, pi := range rerequests {
 		if err := a.send(pi, a.xid()); err != nil {
 			a.logf("switch: re-request: %v", err)
 		}
@@ -766,10 +615,7 @@ func (a *Agent) Close() error {
 	conn := a.conn
 	a.conn = nil
 	a.writer = nil
-	if a.tickT != nil {
-		a.tickT.Stop()
-		a.armed = false
-	}
+	a.timer.disarm()
 	if a.echoT != nil {
 		a.echoT.Stop()
 		a.echoT = nil

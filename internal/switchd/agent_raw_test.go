@@ -59,6 +59,19 @@ func (rc *rawController) read() (openflow.Message, uint32) {
 	return m, xid
 }
 
+// readFrame reads the next frame, undecoded.
+func (rc *rawController) readFrame() []byte {
+	rc.t.Helper()
+	if err := rc.conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		rc.t.Fatal(err)
+	}
+	b, err := rc.r.ReadFrame()
+	if err != nil {
+		rc.t.Fatalf("read: %v", err)
+	}
+	return b
+}
+
 // readType reads messages until one of the wanted type arrives.
 func (rc *rawController) readType(want openflow.MsgType) (openflow.Message, uint32) {
 	rc.t.Helper()
@@ -127,56 +140,9 @@ func TestAgentAnswersHandshakeQueries(t *testing.T) {
 	}
 }
 
-func TestAgentStatsOverTCP(t *testing.T) {
-	rc, agent := newRawPair(t, switchd.Config{DatapathID: 1, NumPorts: 2,
-		Buffer: openflow.FlowBufferConfig{Granularity: openflow.GranularityPacket}})
-
-	// Push one frame through the miss path so counters move.
-	var sunk bool
-	agent.SetTransmit(func(port uint16, frame []byte) { sunk = true })
-	if err := agent.InjectFrame(1, liveFrame(t, "10.1.0.1", 1000)); err != nil {
-		t.Fatal(err)
-	}
-	pi, xid := rc.readType(openflow.TypePacketIn)
-	po := &openflow.PacketOut{
-		BufferID: pi.(*openflow.PacketIn).BufferID,
-		InPort:   1,
-		Actions:  []openflow.Action{&openflow.ActionOutput{Port: 2}},
-	}
-	rc.send(po, xid)
-
-	// Poll port stats until the tx counter shows the released frame.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rc.send(&openflow.StatsRequest{StatsType: openflow.StatsPort, PortNo: openflow.PortNone}, 9)
-		m, _ := rc.readType(openflow.TypeStatsReply)
-		sr := m.(*openflow.StatsReply)
-		if len(sr.Ports) == 2 && sr.Ports[1].TxPackets == 1 && sr.Ports[0].RxPackets == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("port stats never converged: %+v", sr.Ports)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if !sunk {
-		t.Error("released frame never transmitted")
-	}
-
-	rc.send(&openflow.StatsRequest{StatsType: openflow.StatsDesc}, 10)
-	m, _ := rc.readType(openflow.TypeStatsReply)
-	if m.(*openflow.StatsReply).Desc == nil {
-		t.Error("no desc stats")
-	}
-
-	rc.send(&openflow.StatsRequest{StatsType: 42}, 11)
-	m, _ = rc.readType(openflow.TypeError)
-	if em := m.(*openflow.ErrorMsg); em.ErrType != openflow.ErrTypeBadRequest {
-		t.Errorf("error = %+v", em)
-	}
-}
-
-func TestAgentVendorStatsAndReconfigureRefusal(t *testing.T) {
+// TestAgentRefusesReconfigureWithUnitsInUse pins the vendor
+// reconfiguration's refusal: a buffered packet keeps the mechanism as it is.
+func TestAgentRefusesReconfigureWithUnitsInUse(t *testing.T) {
 	rc, agent := newRawPair(t, switchd.Config{DatapathID: 1, NumPorts: 2,
 		Buffer: openflow.FlowBufferConfig{Granularity: openflow.GranularityPacket}})
 	agent.SetTransmit(func(uint16, []byte) {})
@@ -186,16 +152,8 @@ func TestAgentVendorStatsAndReconfigureRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.readType(openflow.TypePacketIn)
-
-	// Vendor stats: one unit in use.
-	rc.send(openflow.EncodeFlowBufferStatsRequest(), 20)
-	m, _ := rc.readType(openflow.TypeVendor)
-	payload, err := openflow.ParseVendor(m.(*openflow.Vendor))
-	if err != nil || payload.Stats == nil {
-		t.Fatalf("vendor stats = %+v, %v", payload, err)
-	}
-	if payload.Stats.UnitsInUse != 1 {
-		t.Errorf("units in use = %d, want 1", payload.Stats.UnitsInUse)
+	if units := agent.Datapath().Mechanism().Stats(0).UnitsInUse; units != 1 {
+		t.Fatalf("units in use = %d, want 1", units)
 	}
 
 	// Reconfiguration with a buffered packet must be refused (the mechanism
@@ -207,12 +165,87 @@ func TestAgentVendorStatsAndReconfigureRefusal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rc.send(v, 21)
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if agent.BufferGranularity() == openflow.GranularityFlow {
-			t.Fatal("reconfigured while units in use")
+	// A barrier is answered after the vendor message has been handled.
+	rc.send(&openflow.BarrierRequest{}, 22)
+	rc.readType(openflow.TypeBarrierReply)
+	if g := agent.BufferGranularity(); g != openflow.GranularityPacket {
+		t.Fatalf("reconfigured to %v with a unit in use", g)
+	}
+}
+
+// TestAgentAnswersUnknownTypesWithBadType pins the agent's answer to
+// well-framed messages it does not implement: an OFPT_PORT_MOD and an
+// OFPT_STATS_REQUEST each get OFPET_BAD_REQUEST/OFPBRC_BAD_TYPE with the
+// request's xid and its first 64 bytes, and the connection keeps serving.
+func TestAgentAnswersUnknownTypesWithBadType(t *testing.T) {
+	rc, _ := newRawPair(t, switchd.Config{DatapathID: 1, NumPorts: 2})
+	frame := func(msgType byte, length int, xid byte) []byte {
+		b := make([]byte, length)
+		b[0], b[1], b[2], b[3], b[7] = openflow.Version, msgType, byte(length>>8), byte(length), xid
+		for i := openflow.HeaderLen; i < length; i++ {
+			b[i] = byte(i)
 		}
-		time.Sleep(5 * time.Millisecond)
+		return b
+	}
+	portMod := frame(15, 32, 5)   // OFPT_PORT_MOD: header + 24-byte body
+	statsReq := frame(16, 100, 6) // OFPT_STATS_REQUEST with a vendor body
+	for _, b := range [][]byte{portMod, statsReq} {
+		if _, err := rc.conn.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rc.send(&openflow.EchoRequest{Data: []byte("still here")}, 7)
+	for i, want := range []struct {
+		xid  uint32
+		data []byte
+	}{{5, portMod}, {6, statsReq[:64]}} {
+		m, xid := rc.read()
+		em, ok := m.(*openflow.ErrorMsg)
+		if !ok || em.ErrType != openflow.ErrTypeBadRequest || em.Code != openflow.ErrCodeBadType ||
+			xid != want.xid || string(em.Data) != string(want.data) {
+			t.Fatalf("answer %d = %T %+v xid %d, want BAD_REQUEST/BAD_TYPE xid %d with the first %d bytes",
+				i, m, m, xid, want.xid, len(want.data))
+		}
+	}
+	m, xid := rc.read()
+	if er, ok := m.(*openflow.EchoReply); !ok || xid != 7 || string(er.Data) != "still here" {
+		t.Fatalf("after the refusals: %T %+v xid %d, want the echo reply", m, m, xid)
+	}
+}
+
+// TestAgentServesFramesRightAfterConnect pins what Connect promises: it
+// returns once HELLO is sent and the read loop runs, before the controller
+// has asked for features. A miss injected right then reaches the controller
+// as a packet_in ahead of the handshake, and the controller's answer after
+// the handshake still releases it.
+func TestAgentServesFramesRightAfterConnect(t *testing.T) {
+	rc, agent := newRawPair(t, switchd.Config{DatapathID: 1, NumPorts: 2,
+		Buffer: openflow.FlowBufferConfig{Granularity: openflow.GranularityPacket}})
+	egressed := make(chan uint16, 1)
+	agent.SetTransmit(func(port uint16, _ []byte) { egressed <- port })
+	if err := agent.InjectFrame(1, liveFrame(t, "10.1.0.6", 6000)); err != nil {
+		t.Fatal(err)
+	}
+	m, xid := rc.read()
+	pi, ok := m.(*openflow.PacketIn)
+	if !ok {
+		t.Fatalf("first message after HELLO = %v, want the packet_in", m.Type())
+	}
+	rc.send(&openflow.FeaturesRequest{}, 1)
+	if m, _ := rc.read(); m.Type() != openflow.TypeFeaturesReply {
+		t.Fatalf("answer to FEATURES_REQUEST = %v", m.Type())
+	}
+	rc.send(&openflow.PacketOut{
+		BufferID: pi.BufferID, InPort: 1,
+		Actions: []openflow.Action{&openflow.ActionOutput{Port: 2}},
+	}, xid)
+	select {
+	case port := <-egressed:
+		if port != 2 {
+			t.Fatalf("released on port %d, want 2", port)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the frame injected right after Connect was never released")
 	}
 }
 

@@ -39,7 +39,7 @@ func agentWithRules(tb testing.TB, n int, idleSec uint16) (*Agent, [][]byte) {
 			tb.Fatal(err)
 		}
 	}
-	a.armEarliestLocked()
+	a.timer.arm()
 	return a, frames
 }
 

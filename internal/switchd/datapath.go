@@ -1,9 +1,12 @@
 // Package switchd is the software OpenFlow switch — the testbed's stand-in
-// for Open vSwitch. The protocol logic (flow-table matching, buffer
-// mechanism, flow_mod/packet_out handling, action application) lives in
-// Datapath, which is driven either by the deterministic simulator
-// (SimSwitch) or by the live TCP agent (Agent), so both modes exercise the
-// same code.
+// for Open vSwitch. The whole protocol half lives in Datapath: flow-table
+// matching, the buffer mechanism, action application, the dispatcher for
+// every controller-to-switch message (Control), the timer work (Due and
+// NextDeadline) and the messages each of them owes the controller. Two
+// front ends supply only transport: the deterministic simulator (SimSwitch)
+// with its CPU and bus model, and the live TCP agent (Agent) with its
+// sockets. Both keep the datapath's deadlines with the same deadlineTimer,
+// so both modes exercise the same code.
 package switchd
 
 import (
@@ -132,11 +135,10 @@ type Datapath struct {
 	txBytes  uint64
 	misses   uint64
 
-	// Per-port counters, indexed by port number (slot 0 unused).
-	portRxFrames []uint64
-	portRxBytes  []uint64
-	portTxFrames []uint64
-	portTxBytes  []uint64
+	// reclaimDelay is the lazy buffer-slot reclamation delay the simulator
+	// models (SimConfig.ReclaimDelay), kept so that a mechanism built by a
+	// runtime reconfiguration gets it too.
+	reclaimDelay time.Duration
 
 	// Control-channel fail-mode state. macTable is allocated lazily on the
 	// first standalone-forwarded frame and discarded when the channel is
@@ -196,14 +198,10 @@ func NewDatapath(cfg Config) (*Datapath, error) {
 		return nil, fmt.Errorf("switchd: building buffer mechanism: %w", err)
 	}
 	return &Datapath{
-		cfg:          cfg,
-		table:        table,
-		mech:         mech,
-		portRxFrames: make([]uint64, cfg.NumPorts+1),
-		portRxBytes:  make([]uint64, cfg.NumPorts+1),
-		portTxFrames: make([]uint64, cfg.NumPorts+1),
-		portTxBytes:  make([]uint64, cfg.NumPorts+1),
-		portDown:     make([]bool, cfg.NumPorts+1),
+		cfg:      cfg,
+		table:    table,
+		mech:     mech,
+		portDown: make([]bool, cfg.NumPorts+1),
 	}, nil
 }
 
@@ -217,13 +215,23 @@ func (d *Datapath) Table() *flowtable.Table { return d.table }
 func (d *Datapath) Mechanism() core.Mechanism { return d.mech }
 
 // SetTelemetry wires the packet-lifecycle recorder into the datapath and
-// its buffer mechanism: table hits/misses and NetFlow observations are
-// emitted here, buffer enqueues by the mechanism, and drain spans (with
-// per-flow residency credit) on release. nil disables (the default).
+// its buffer mechanism: table hits/misses, control operations and NetFlow
+// observations are emitted here, buffer enqueues by the mechanism, and drain
+// spans (with per-flow residency credit) on release. nil disables (the
+// default).
 func (d *Datapath) SetTelemetry(rec *telemetry.Recorder) {
 	d.tel = rec
 	if m, ok := d.mech.(interface{ SetTelemetry(*telemetry.Recorder) }); ok {
 		m.SetTelemetry(rec)
+	}
+}
+
+// setReclaimDelay gives the buffer pool, and the pool of any mechanism a
+// later reconfiguration builds, a lazy slot-reclamation delay.
+func (d *Datapath) setReclaimDelay(delay time.Duration) {
+	d.reclaimDelay = delay
+	if m, ok := d.mech.(interface{ Pool() *core.Pool }); ok && delay > 0 {
+		m.Pool().SetReclaimDelay(delay)
 	}
 }
 
@@ -262,12 +270,11 @@ func (d *Datapath) Features() *openflow.FeaturesReply {
 		nbuf = uint32(d.cfg.BufferCapacity)
 	}
 	return &openflow.FeaturesReply{
-		DatapathID:   d.cfg.DatapathID,
-		NBuffers:     nbuf,
-		NTables:      1,
-		Capabilities: openflow.CapFlowStats | openflow.CapTableStats | openflow.CapPortStats,
-		Actions:      1<<uint(openflow.ActionTypeOutput) | 1<<uint(openflow.ActionTypeSetDLSrc) | 1<<uint(openflow.ActionTypeSetDLDst),
-		Ports:        ports,
+		DatapathID: d.cfg.DatapathID,
+		NBuffers:   nbuf,
+		NTables:    1,
+		Actions:    1<<uint(openflow.ActionTypeOutput) | 1<<uint(openflow.ActionTypeSetDLSrc) | 1<<uint(openflow.ActionTypeSetDLDst),
+		Ports:      ports,
 	}
 }
 
@@ -286,8 +293,6 @@ func (d *Datapath) HandleFrame(now time.Duration, inPort uint16, frame []byte) (
 	}
 	d.rxFrames++
 	d.rxBytes += uint64(len(frame))
-	d.portRxFrames[inPort]++
-	d.portRxBytes[inPort] += uint64(len(frame))
 	parsed := &d.parseScratch
 	if err := packet.ParseEthernetInto(parsed, frame); err != nil {
 		return nil, fmt.Errorf("switchd: unparseable frame on port %d: %w", inPort, err)
@@ -358,85 +363,173 @@ type ControlResult struct {
 	// Outputs are frames to transmit (released buffered packets or
 	// packet_out data, after action application).
 	Outputs []Output
-	// Removed are rules that left the table (replacement eviction or
-	// explicit delete) for which flow_removed may be due.
-	Removed []flowtable.Removed
-	// Reply is a message to send back to the controller (error, barrier
-	// reply, config reply, stats), nil if none.
-	Reply openflow.Message
+	// Msgs are the switch-to-controller messages the request caused, in
+	// send order: the reply (an error, or a barrier, echo, features or
+	// config reply), then a flow_removed for each rule that asked for one
+	// and left the table. All of them carry the request's xid.
+	Msgs []openflow.Message
+}
+
+func replyWith(m openflow.Message) *ControlResult {
+	return &ControlResult{Msgs: []openflow.Message{m}}
+}
+
+// Control dispatches one controller-to-switch message, decoded with its
+// xid: flow_mod, packet_out, the handshake and keepalive queries, barrier,
+// get/set_config and the vendor buffer reconfiguration. Both front ends hand
+// every decoded message here and send what the result holds. An error means
+// the message was refused with nothing to send: a vendor message that does
+// not parse or a reconfiguration while units are in use, a message type a
+// controller does not send, or a datapath fault.
+func (d *Datapath) Control(now time.Duration, m openflow.Message, xid uint32) (*ControlResult, error) {
+	switch t := m.(type) {
+	case *openflow.FlowMod:
+		d.controlOp(telemetry.KindFlowMod, now, xid, m)
+		return d.HandleFlowMod(now, t)
+	case *openflow.PacketOut:
+		d.controlOp(telemetry.KindPacketOut, now, xid, m)
+		return d.HandlePacketOut(now, t)
+	case *openflow.FeaturesRequest:
+		return replyWith(d.Features()), nil
+	case *openflow.EchoRequest:
+		return replyWith(&openflow.EchoReply{Data: t.Data}), nil
+	case *openflow.BarrierRequest:
+		return replyWith(&openflow.BarrierReply{}), nil
+	case *openflow.GetConfigRequest:
+		return replyWith(&openflow.GetConfigReply{Config: openflow.SwitchConfig{
+			MissSendLen: uint16(d.cfg.MissSendLen),
+		}}), nil
+	case *openflow.SetConfig:
+		if n := int(t.Config.MissSendLen); n > 0 {
+			d.cfg.MissSendLen = n
+			d.mech.SetMissSendLen(n)
+		}
+		return &ControlResult{}, nil
+	case *openflow.Hello:
+		return &ControlResult{}, nil
+	case *openflow.Vendor:
+		cfg, err := openflow.ParseFlowBufferConfig(t)
+		if err != nil {
+			return nil, err
+		}
+		if err := d.reconfigureBuffer(now, cfg); err != nil {
+			return nil, err
+		}
+		return &ControlResult{}, nil
+	default:
+		return nil, fmt.Errorf("switchd: unexpected %v from a controller", m.Type())
+	}
+}
+
+// controlOp records a flow_mod or packet_out arriving at the datapath.
+func (d *Datapath) controlOp(kind telemetry.SpanKind, now time.Duration, xid uint32, m openflow.Message) {
+	if d.tel != nil {
+		d.tel.Instant(kind, now, 0, xid, uint32(openflow.EncodedLen(m)))
+	}
+}
+
+// badTypeError is the reply to a well-framed message whose type the switch
+// does not implement: OFPET_BAD_REQUEST/OFPBRC_BAD_TYPE carrying the first
+// 64 bytes of the offending frame, as the spec asks.
+func badTypeError(frame []byte) *openflow.ErrorMsg {
+	return &openflow.ErrorMsg{
+		ErrType: openflow.ErrTypeBadRequest,
+		Code:    openflow.ErrCodeBadType,
+		Data:    append([]byte(nil), frame[:min(len(frame), 64)]...),
+	}
+}
+
+// reconfigureBuffer swaps the buffer mechanism at runtime. It refuses while
+// units are in use — reclaiming ones included: dropping buffered packets
+// silently would lose traffic.
+func (d *Datapath) reconfigureBuffer(now time.Duration, cfg openflow.FlowBufferConfig) error {
+	if st := d.mech.Stats(now); st.UnitsInUse > 0 {
+		return fmt.Errorf("switchd: cannot reconfigure buffer with %d units in use", st.UnitsInUse)
+	}
+	mech, err := core.NewMechanism(cfg, d.cfg.BufferCapacity, d.cfg.MissSendLen, d.cfg.BufferExpiry)
+	if err != nil {
+		return err
+	}
+	d.mech = mech
+	d.cfg.Buffer = cfg
+	d.SetTelemetry(d.tel)
+	d.setReclaimDelay(d.reclaimDelay)
+	return nil
 }
 
 // HandleFlowMod installs, modifies or deletes rules. A valid BufferID also
 // releases the buffered packet(s) through the new rule's actions, per the
 // spec's combined flow_mod semantics.
 func (d *Datapath) HandleFlowMod(now time.Duration, fm *openflow.FlowMod) (*ControlResult, error) {
-	res := &ControlResult{}
 	switch fm.Command {
 	case openflow.FlowModAdd, openflow.FlowModModify, openflow.FlowModModifyStrict:
-		if d.deadOutput(fm.Actions) {
-			// Refuse to install a rule egressing a down port: the switch-local
-			// backstop that keeps a racing (stale-topology) controller from
-			// planting a blackhole rule. The buffered packet's fate depends on
-			// the mechanism — see refuseBuffered.
-			res.Reply = badOutPortError()
-			d.refuseBuffered(now, fm.BufferID)
-			return res, nil
-		}
-		entry := &flowtable.Entry{
-			Match:       fm.Match,
-			Priority:    fm.Priority,
-			Actions:     fm.Actions,
-			Cookie:      fm.Cookie,
-			IdleTimeout: time.Duration(fm.IdleTimeout) * time.Second,
-			HardTimeout: time.Duration(fm.HardTimeout) * time.Second,
-			Flags:       fm.Flags,
-		}
-		lenBefore := d.table.Len()
-		victim, err := d.table.Insert(now, entry)
-		if err != nil {
-			if errors.Is(err, flowtable.ErrTableFull) {
-				d.tableFullRejects++
-				res.Reply = &openflow.ErrorMsg{
-					ErrType: openflow.ErrTypeFlowModFailed,
-					Code:    openflow.ErrCodeAllTablesFull,
-				}
-				return res, nil
-			}
-			return nil, fmt.Errorf("switchd: flow_mod insert: %w", err)
-		}
-		if victim == nil && d.table.Len() == lenBefore {
-			d.ruleReplacements++
-		} else {
-			d.ruleInstalls++
-		}
-		if victim != nil {
-			d.countRemoved(*victim)
-			res.Removed = append(res.Removed, *victim)
-		}
 	case openflow.FlowModDelete, openflow.FlowModDeleteStrict:
 		strict := fm.Command == openflow.FlowModDeleteStrict
 		deleted := d.table.Delete(now, &fm.Match, fm.Priority, strict, fm.OutPort)
 		d.countRemoved(deleted...)
-		res.Removed = append(res.Removed, deleted...)
-		return res, nil
+		return &ControlResult{Msgs: appendFlowRemoved(nil, deleted...)}, nil
 	default:
-		res.Reply = &openflow.ErrorMsg{
+		return replyWith(&openflow.ErrorMsg{
 			ErrType: openflow.ErrTypeFlowModFailed,
 			Code:    openflow.ErrCodeBadCommand,
-		}
-		return res, nil
+		}), nil
 	}
-
+	if d.badOutput(fm.Actions) {
+		// A rule toward a port the switch does not have would fail every
+		// frame it matched: refuse it, and leave any buffered packet where it
+		// is.
+		return replyWith(badOutPortError()), nil
+	}
+	if d.deadOutput(fm.Actions) {
+		// Refuse to install a rule egressing a down port: the switch-local
+		// backstop that keeps a racing (stale-topology) controller from
+		// planting a blackhole rule. The buffered packet's fate depends on
+		// the mechanism — see refuseBuffered.
+		d.refuseBuffered(now, fm.BufferID)
+		return replyWith(badOutPortError()), nil
+	}
+	entry := &flowtable.Entry{
+		Match:       fm.Match,
+		Priority:    fm.Priority,
+		Actions:     fm.Actions,
+		Cookie:      fm.Cookie,
+		IdleTimeout: time.Duration(fm.IdleTimeout) * time.Second,
+		HardTimeout: time.Duration(fm.HardTimeout) * time.Second,
+		Flags:       fm.Flags,
+	}
+	lenBefore := d.table.Len()
+	victim, err := d.table.Insert(now, entry)
+	if err != nil {
+		if errors.Is(err, flowtable.ErrTableFull) {
+			d.tableFullRejects++
+			return replyWith(&openflow.ErrorMsg{
+				ErrType: openflow.ErrTypeFlowModFailed,
+				Code:    openflow.ErrCodeAllTablesFull,
+			}), nil
+		}
+		return nil, fmt.Errorf("switchd: flow_mod insert: %w", err)
+	}
+	if victim == nil && d.table.Len() == lenBefore {
+		d.ruleReplacements++
+	} else {
+		d.ruleInstalls++
+	}
+	res := &ControlResult{}
+	if victim != nil {
+		d.countRemoved(*victim)
+	}
 	if fm.BufferID != openflow.NoBuffer {
 		outs, err := d.releaseThrough(now, fm.BufferID, fm.Actions)
-		if err != nil {
-			if errors.Is(err, core.ErrUnknownBufferID) {
-				res.Reply = bufferUnknownError()
-				return res, nil
-			}
+		switch {
+		case errors.Is(err, core.ErrUnknownBufferID):
+			res.Msgs = append(res.Msgs, bufferUnknownError())
+		case err != nil:
 			return nil, err
 		}
 		res.Outputs = outs
+	}
+	if victim != nil {
+		res.Msgs = appendFlowRemoved(res.Msgs, *victim)
 	}
 	return res, nil
 }
@@ -444,38 +537,33 @@ func (d *Datapath) HandleFlowMod(now time.Duration, fm *openflow.FlowMod) (*Cont
 // HandlePacketOut emits a packet: a buffered one (valid BufferID) or the
 // message's own payload.
 func (d *Datapath) HandlePacketOut(now time.Duration, po *openflow.PacketOut) (*ControlResult, error) {
-	res := &ControlResult{}
+	if d.badOutput(po.Actions) {
+		return replyWith(badOutPortError()), nil
+	}
 	if d.deadOutput(po.Actions) {
-		res.Reply = badOutPortError()
 		d.refuseBuffered(now, po.BufferID)
 		if po.BufferID == openflow.NoBuffer && len(po.Data) > 0 {
 			// The no-buffer mechanism's packet rides in the message itself;
 			// refusing the release loses it just as surely as dropping a unit.
 			d.bufDropsDeadPort++
 		}
-		return res, nil
+		return replyWith(badOutPortError()), nil
 	}
+	res := &ControlResult{}
 	if po.BufferID != openflow.NoBuffer {
+		var err error
 		if len(po.Actions) == 0 {
 			// Empty action list: drop the buffered packet(s).
-			if err := d.mech.Drop(now, po.BufferID); err != nil {
-				if errors.Is(err, core.ErrUnknownBufferID) {
-					res.Reply = bufferUnknownError()
-					return res, nil
-				}
-				return nil, err
-			}
-			return res, nil
+			err = d.mech.Drop(now, po.BufferID)
+		} else {
+			res.Outputs, err = d.releaseThrough(now, po.BufferID, po.Actions)
 		}
-		outs, err := d.releaseThrough(now, po.BufferID, po.Actions)
+		if errors.Is(err, core.ErrUnknownBufferID) {
+			return replyWith(bufferUnknownError()), nil
+		}
 		if err != nil {
-			if errors.Is(err, core.ErrUnknownBufferID) {
-				res.Reply = bufferUnknownError()
-				return res, nil
-			}
 			return nil, err
 		}
-		res.Outputs = outs
 		return res, nil
 	}
 	if len(po.Data) == 0 {
@@ -632,19 +720,35 @@ func (d *Datapath) countTx(outs []Output) {
 	for _, o := range outs {
 		d.txFrames++
 		d.txBytes += uint64(len(o.Frame))
-		if int(o.Port) < len(d.portTxFrames) {
-			d.portTxFrames[o.Port]++
-			d.portTxBytes[o.Port] += uint64(len(o.Frame))
-		}
 	}
 }
 
-// ExpireRules removes timed-out rules, returning them for flow_removed
-// notifications.
-func (d *Datapath) ExpireRules(now time.Duration) []flowtable.Removed {
-	removed := d.table.Expire(now)
-	d.countRemoved(removed...)
-	return removed
+// NextDeadline reports the earliest instant at which the datapath has timer
+// work for Due — the buffer mechanism's next re-request or buffer expiry, or
+// the flow table's next rule timeout — and false if it has none.
+func (d *Datapath) NextDeadline() (time.Duration, bool) {
+	next, ok := d.mech.NextDeadline()
+	if exp, expOK := d.table.NextExpiry(); expOK && (!ok || exp < next) {
+		next, ok = exp, true
+	}
+	return next, ok
+}
+
+// Due runs the timer work due at now: the mechanism's Tick when its
+// deadline has come, and the rule expiry sweep when the table's has. Each
+// half runs only when due, so a wake-up that comes early does nothing. It
+// returns the re-request packet_ins, which each need a fresh xid, and a
+// flow_removed for each expired rule that asked for one, sent with xid 0.
+func (d *Datapath) Due(now time.Duration) (rerequests []*openflow.PacketIn, removed []openflow.Message) {
+	if next, ok := d.mech.NextDeadline(); ok && next <= now {
+		rerequests = d.mech.Tick(now)
+	}
+	if next, ok := d.table.NextExpiry(); ok && next <= now {
+		expired := d.table.Expire(now)
+		d.countRemoved(expired...)
+		removed = appendFlowRemoved(nil, expired...)
+	}
+	return rerequests, removed
 }
 
 // countRemoved tallies removals into the per-reason ledger.
@@ -659,26 +763,105 @@ func (d *Datapath) countRemoved(rs ...flowtable.Removed) {
 	}
 }
 
-// FlowRemovedFor builds the flow_removed notification for a removed rule if
-// the rule asked for one (OFPFF_SEND_FLOW_REM), else nil. The counters come
-// from the Removed record's snapshot, taken at the moment of removal: the
-// Entry object may have been replaced or mutated between removal and
+// appendFlowRemoved appends a flow_removed notification for each removed
+// rule that asked for one (OFPFF_SEND_FLOW_REM). The counters come from the
+// Removed record's snapshot, taken at the moment of removal: the Entry
+// object may have been replaced or mutated between removal and
 // notification, and flow_removed must report what the rule forwarded while
 // it was installed.
-func (d *Datapath) FlowRemovedFor(r flowtable.Removed) *openflow.FlowRemoved {
-	if r.Entry.Flags&openflow.FlowModFlagSendFlowRem == 0 {
-		return nil
+func appendFlowRemoved(msgs []openflow.Message, rs ...flowtable.Removed) []openflow.Message {
+	for _, r := range rs {
+		if r.Entry.Flags&openflow.FlowModFlagSendFlowRem == 0 {
+			continue
+		}
+		msgs = append(msgs, &openflow.FlowRemoved{
+			Match:       r.Entry.Match,
+			Cookie:      r.Entry.Cookie,
+			Priority:    r.Entry.Priority,
+			Reason:      r.Reason,
+			DurationSec: uint32(r.Age / time.Second),
+			DurationNs:  uint32(r.Age % time.Second),
+			IdleTimeout: uint16(r.Entry.IdleTimeout / time.Second),
+			PacketCount: r.Packets,
+			ByteCount:   r.Bytes,
+		})
 	}
-	return &openflow.FlowRemoved{
-		Match:       r.Entry.Match,
-		Cookie:      r.Entry.Cookie,
-		Priority:    r.Entry.Priority,
-		Reason:      r.Reason,
-		DurationSec: uint32(r.Age / time.Second),
-		DurationNs:  uint32(r.Age % time.Second),
-		IdleTimeout: uint16(r.Entry.IdleTimeout / time.Second),
-		PacketCount: r.Packets,
-		ByteCount:   r.Bytes,
+	return msgs
+}
+
+// deadlineTimer keeps a front end's one wake-up for the datapath's deadlines
+// (DESIGN.md §18). While armed, the wake-up is at or before every deadline
+// the datapath holds: it may come early, never late. Front ends call arm after
+// anything that can bring a deadline forward — a miss, a control message, a
+// fire, a restart — and never after a table hit, which only moves an idle
+// deadline later and so leaves the armed wake-up a valid, early one.
+//
+// An armed wake-up at the unchanged deadline is left alone; one whose
+// deadline moved later is moved, and one whose deadline went away is
+// cancelled. One rule serves both front ends: in the simulator a wake-up
+// left early would be a spare kernel event, and the virtual clock at the end
+// of a run — the denominator of every utilization, load and occupancy mean —
+// would see it. A fire can still come early after table hits; it only counts
+// and re-arms.
+type deadlineTimer struct {
+	dp *Datapath
+	// set schedules the front end's one wake-up at at (the datapath's clock),
+	// replacing any pending one; the wake-up calls fire. stop cancels it.
+	set   func(at time.Duration)
+	stop  func()
+	armed bool
+	at    time.Duration
+	stats TimerStats
+}
+
+// TimerStats counts the work of a switch's deadline timer. A workload whose
+// EarlyTicks approach its Ticks is waking for rules that were hit since the
+// timer was set; one whose Rearms approach its frame count is re-arming on
+// the data path, which a table hit must never do.
+type TimerStats struct {
+	// Ticks is the number of timer fires handled.
+	Ticks uint64
+	// EarlyTicks is the fires that found nothing due and only re-armed.
+	EarlyTicks uint64
+	// Rearms is the number of times the timer was set.
+	Rearms uint64
+}
+
+// arm brings the wake-up in line with the datapath's earliest deadline.
+func (t *deadlineTimer) arm() {
+	next, ok := t.dp.NextDeadline()
+	if t.armed && ok && next == t.at {
+		return
+	}
+	if !ok {
+		t.disarm()
+		return
+	}
+	t.armed, t.at = true, next
+	t.stats.Rearms++
+	t.set(next)
+}
+
+// fire handles the wake-up: it runs what is due (Due) and returns what Due
+// returns; the front end ships that and then calls arm, which re-arms from the
+// exact next deadline. A fire that finds nothing due — the rule it was set
+// for has been hit since, or a Reset raced it — only counts.
+func (t *deadlineTimer) fire(now time.Duration) (rerequests []*openflow.PacketIn, removed []openflow.Message) {
+	t.armed = false
+	t.stats.Ticks++
+	if next, ok := t.dp.NextDeadline(); ok && next <= now {
+		rerequests, removed = t.dp.Due(now)
+	} else {
+		t.stats.EarlyTicks++
+	}
+	return rerequests, removed
+}
+
+// disarm cancels the pending wake-up, if any.
+func (t *deadlineTimer) disarm() {
+	if t.armed {
+		t.armed = false
+		t.stop()
 	}
 }
 

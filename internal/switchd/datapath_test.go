@@ -78,7 +78,7 @@ func TestDatapathMissThenFlowModThenHit(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HandleFlowMod: %v", err)
 	}
-	if len(cres.Outputs) != 0 || cres.Reply != nil {
+	if len(cres.Outputs) != 0 || reply(cres) != nil {
 		t.Fatalf("flow_mod without buffer id produced %+v", cres)
 	}
 	po := &openflow.PacketOut{
@@ -144,9 +144,9 @@ func TestDatapathUnknownBufferIDReturnsError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("HandlePacketOut: %v", err)
 	}
-	em, ok := cres.Reply.(*openflow.ErrorMsg)
+	em, ok := reply(cres).(*openflow.ErrorMsg)
 	if !ok || em.ErrType != openflow.ErrTypeBadRequest || em.Code != openflow.ErrCodeBadBufferID {
-		t.Fatalf("reply = %+v, want buffer-unknown error", cres.Reply)
+		t.Fatalf("reply = %+v, want buffer-unknown error", reply(cres))
 	}
 }
 
@@ -181,7 +181,7 @@ func TestDatapathPacketOutDropBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cres.Outputs) != 0 || cres.Reply != nil {
+	if len(cres.Outputs) != 0 || reply(cres) != nil {
 		t.Fatalf("drop produced %+v", cres)
 	}
 	// Releasing again fails.
@@ -191,7 +191,7 @@ func TestDatapathPacketOutDropBuffered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cres.Reply == nil {
+	if reply(cres) == nil {
 		t.Error("double release not rejected")
 	}
 }
@@ -336,8 +336,11 @@ func TestDatapathFlowModDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cres.Removed) != 1 || dp.Table().Len() != 0 {
-		t.Fatalf("delete removed %d, table %d", len(cres.Removed), dp.Table().Len())
+	if got := dp.TableMgmt().RemovedDelete; got != 1 || dp.Table().Len() != 0 {
+		t.Fatalf("delete removed %d, table %d", got, dp.Table().Len())
+	}
+	if len(cres.Msgs) != 0 {
+		t.Errorf("delete of a rule without SEND_FLOW_REM sent %+v", cres.Msgs)
 	}
 }
 
@@ -347,9 +350,9 @@ func TestDatapathFlowModBadCommand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, ok := cres.Reply.(*openflow.ErrorMsg)
+	em, ok := reply(cres).(*openflow.ErrorMsg)
 	if !ok || em.Code != openflow.ErrCodeBadCommand {
-		t.Fatalf("reply = %+v", cres.Reply)
+		t.Fatalf("reply = %+v", reply(cres))
 	}
 }
 
@@ -378,9 +381,9 @@ func TestDatapathTableFullError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, ok := cres.Reply.(*openflow.ErrorMsg)
+	em, ok := reply(cres).(*openflow.ErrorMsg)
 	if !ok || em.Code != openflow.ErrCodeAllTablesFull {
-		t.Fatalf("reply = %+v, want all-tables-full", cres.Reply)
+		t.Fatalf("reply = %+v, want all-tables-full", reply(cres))
 	}
 }
 
@@ -409,20 +412,23 @@ func TestDatapathLRUEvictionEmitsRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cres.Removed) != 1 {
-		t.Fatalf("removed = %d, want 1", len(cres.Removed))
+	if len(cres.Msgs) != 1 {
+		t.Fatalf("messages = %+v, want one flow_removed", cres.Msgs)
 	}
-	fr := dp.FlowRemovedFor(cres.Removed[0])
-	if fr == nil || fr.Reason != openflow.RemovedEviction {
-		t.Fatalf("flow_removed = %+v", fr)
+	fr, ok := cres.Msgs[0].(*openflow.FlowRemoved)
+	if !ok || fr.Reason != openflow.RemovedEviction {
+		t.Fatalf("flow_removed = %+v", cres.Msgs[0])
 	}
 	// A rule without the flag produces no notification.
 	cres, err = dp.HandleFlowMod(2*time.Millisecond, mk(3, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fr := dp.FlowRemovedFor(cres.Removed[0]); fr != nil {
-		t.Error("flow_removed produced for rule without SEND_FLOW_REM")
+	if dp.TableMgmt().RemovedEvict != 2 {
+		t.Fatalf("evictions = %d, want 2", dp.TableMgmt().RemovedEvict)
+	}
+	if len(cres.Msgs) != 0 {
+		t.Errorf("flow_removed produced for rule without SEND_FLOW_REM: %+v", cres.Msgs)
 	}
 }
 
@@ -460,6 +466,14 @@ func TestDatapathStatsCounters(t *testing.T) {
 	if rx != 1 || rxB != uint64(len(frame)) || misses != 1 {
 		t.Errorf("stats = rx %d/%dB misses %d", rx, rxB, misses)
 	}
+}
+
+// reply is a control result's reply: its first message, nil if none.
+func reply(res *ControlResult) openflow.Message {
+	if len(res.Msgs) == 0 {
+		return nil
+	}
+	return res.Msgs[0]
 }
 
 // parseForTest exposes header parsing to the agent timer tests.

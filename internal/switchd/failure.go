@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"sdnbuffer/internal/core"
-	"sdnbuffer/internal/flowtable"
 	"sdnbuffer/internal/openflow"
 	"sdnbuffer/internal/packet"
 )
@@ -13,17 +12,20 @@ import (
 // This file is the datapath's data-plane failure surface (DESIGN.md §16):
 // per-port link state with rule eviction, whole-switch crash/restart with
 // flow-table and buffer loss, and the accounting that lets the fabric close
-// its drop ledger. Detection and notification (port_status emission,
-// ingestion gating) live one layer up in SimSwitch/Agent; the datapath only
-// owns the protocol consequences.
+// its drop ledger. The datapath owns the protocol consequences, the
+// flow_removed and port_status messages included; ingestion gating and
+// shipping the messages live one layer up in SimSwitch/Agent.
 
-// SetPortDown flips one port's link state. Taking a port down evicts every
-// rule that outputs to it (returned so the owner can emit flow_removed) —
-// subsequent traffic for those destinations misses the table and re-enters
-// the buffer mechanism instead of draining into a dead wire. Bringing a
-// port back up is state-only: rules reappear via the normal controller
-// path. Idempotent; repeated transitions to the same state return nothing.
-func (d *Datapath) SetPortDown(now time.Duration, port uint16, down bool) ([]flowtable.Removed, error) {
+// SetPortDown flips one port's link state and returns what the switch owes
+// the controller for it, all sent with xid 0: a flow_removed for each
+// flagged rule the change evicted, then a port_status announcing the new
+// state (none while crashed). Taking a port down evicts every rule that
+// outputs to it — subsequent traffic for those destinations misses the
+// table and re-enters the buffer mechanism instead of draining into a dead
+// wire. Bringing a port back up is state-only: rules reappear via the
+// normal controller path. Idempotent; repeated transitions to the same
+// state change and return nothing, so they do not re-notify.
+func (d *Datapath) SetPortDown(now time.Duration, port uint16, down bool) ([]openflow.Message, error) {
 	if port < 1 || int(port) > d.cfg.NumPorts {
 		return nil, fmt.Errorf("%w: port %d of %d", ErrBadPort, port, d.cfg.NumPorts)
 	}
@@ -31,12 +33,19 @@ func (d *Datapath) SetPortDown(now time.Duration, port uint16, down bool) ([]flo
 		return nil, nil
 	}
 	d.portDown[port] = down
-	if !down {
-		return nil, nil
+	var msgs []openflow.Message
+	if down {
+		removed := d.table.DeleteByOutPort(now, port, openflow.RemovedDelete)
+		d.countRemoved(removed...)
+		msgs = appendFlowRemoved(msgs, removed...)
 	}
-	removed := d.table.DeleteByOutPort(now, port, openflow.RemovedDelete)
-	d.countRemoved(removed...)
-	return removed, nil
+	if !d.crashed {
+		msgs = append(msgs, &openflow.PortStatus{
+			Reason: openflow.PortReasonModify,
+			Desc:   d.PhyPortDesc(port),
+		})
+	}
+	return msgs, nil
 }
 
 // PortDown reports one port's link state (false for out-of-range ports).
@@ -93,24 +102,35 @@ func (d *Datapath) FailureStats() (deadPortRefusals, bufDropsDeadPort, txDownDro
 
 // deadOutput reports whether any action outputs to a concretely-numbered
 // down port. Flood/all actions are not refused — emitAction simply skips
-// the dead ports — and out-of-range ports are left for applyActions to
-// reject with its usual error.
+// the dead ports.
 func (d *Datapath) deadOutput(actions []openflow.Action) bool {
 	for _, a := range actions {
-		var port uint16
-		switch act := a.(type) {
-		case *openflow.ActionOutput:
-			port = act.Port
-		case *openflow.ActionEnqueue:
-			port = act.Port
-		default:
-			continue
-		}
-		if port >= 1 && int(port) <= d.cfg.NumPorts && d.portDown[port] {
+		if port, ok := outputPort(a); ok && port >= 1 && int(port) <= d.cfg.NumPorts && d.portDown[port] {
 			return true
 		}
 	}
 	return false
+}
+
+// badOutput reports whether any action outputs to a port the switch does not
+// have: neither one of its 1..NumPorts nor a reserved port.
+func (d *Datapath) badOutput(actions []openflow.Action) bool {
+	for _, a := range actions {
+		if port, ok := outputPort(a); ok && port < openflow.PortInPort && (port < 1 || int(port) > d.cfg.NumPorts) {
+			return true
+		}
+	}
+	return false
+}
+
+func outputPort(a openflow.Action) (uint16, bool) {
+	switch act := a.(type) {
+	case *openflow.ActionOutput:
+		return act.Port, true
+	case *openflow.ActionEnqueue:
+		return act.Port, true
+	}
+	return 0, false
 }
 
 // refuseBuffered settles a buffered packet whose install or release was

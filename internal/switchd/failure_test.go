@@ -34,32 +34,37 @@ func installTo(t *testing.T, dp *Datapath, frame []byte, outPort uint16, flags u
 func TestSetPortDownEvictsAndRefusesInstalls(t *testing.T) {
 	dp := newDP(t, openflow.GranularityNone, 0)
 	frame := testFrame(t, "10.1.0.1", 1000, 64)
-	if res := installTo(t, dp, frame, 2, 0); res.Reply != nil {
-		t.Fatalf("healthy install refused: %+v", res.Reply)
+	if res := installTo(t, dp, frame, 2, 0); reply(res) != nil {
+		t.Fatalf("healthy install refused: %+v", reply(res))
 	}
 	if dp.Table().Len() != 1 {
 		t.Fatalf("table len = %d", dp.Table().Len())
 	}
 
-	removed, err := dp.SetPortDown(time.Millisecond, 2, true)
+	msgs, err := dp.SetPortDown(time.Millisecond, 2, true)
 	if err != nil {
 		t.Fatalf("SetPortDown: %v", err)
 	}
-	if len(removed) != 1 || dp.Table().Len() != 0 {
-		t.Fatalf("eviction removed %d rules, table %d", len(removed), dp.Table().Len())
+	if got := dp.TableMgmt().RemovedDelete; got != 1 || dp.Table().Len() != 0 {
+		t.Fatalf("eviction removed %d rules, table %d", got, dp.Table().Len())
+	}
+	// The evicted rule did not ask for flow_removed: only the port_status.
+	if ps, ok := msgs[len(msgs)-1].(*openflow.PortStatus); len(msgs) != 1 || !ok ||
+		ps.Desc.PortNo != 2 || ps.Desc.State&openflow.PortStateLinkDown == 0 {
+		t.Fatalf("port-down messages = %+v, want one link-down port_status", msgs)
 	}
 	if !dp.PortDown(2) || dp.PortDown(1) {
 		t.Fatal("port state wrong after SetPortDown")
 	}
 	// Idempotent: no second eviction, no error.
 	if again, err := dp.SetPortDown(2*time.Millisecond, 2, true); err != nil || len(again) != 0 {
-		t.Fatalf("repeat SetPortDown: %v, %d removed", err, len(again))
+		t.Fatalf("repeat SetPortDown: %v, messages %+v", err, again)
 	}
 
 	res := installTo(t, dp, frame, 2, 0)
-	em, ok := res.Reply.(*openflow.ErrorMsg)
+	em, ok := reply(res).(*openflow.ErrorMsg)
 	if !ok || em.ErrType != openflow.ErrTypeBadAction || em.Code != openflow.ErrCodeBadOutPort {
-		t.Fatalf("install to dead port replied %+v", res.Reply)
+		t.Fatalf("install to dead port replied %+v", reply(res))
 	}
 	if dp.Table().Len() != 0 {
 		t.Fatal("refused rule reached the table")
@@ -72,8 +77,8 @@ func TestSetPortDownEvictsAndRefusesInstalls(t *testing.T) {
 	if _, err := dp.SetPortDown(3*time.Millisecond, 2, false); err != nil {
 		t.Fatalf("port up: %v", err)
 	}
-	if res := installTo(t, dp, frame, 2, 0); res.Reply != nil {
-		t.Fatalf("install after recovery refused: %+v", res.Reply)
+	if res := installTo(t, dp, frame, 2, 0); reply(res) != nil {
+		t.Fatalf("install after recovery refused: %+v", reply(res))
 	}
 	if _, err := dp.SetPortDown(0, 9, true); err == nil {
 		t.Fatal("out-of-range port accepted")
@@ -115,8 +120,8 @@ func TestRefusedBufferMechanismAware(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := cres.Reply.(*openflow.ErrorMsg); !ok {
-			t.Fatalf("%v: reply = %+v", tc.g, cres.Reply)
+		if _, ok := reply(cres).(*openflow.ErrorMsg); !ok {
+			t.Fatalf("%v: reply = %+v", tc.g, reply(cres))
 		}
 		pool := dp.Mechanism().(interface{ Pool() *core.Pool }).Pool()
 		if got := pool.Live(); got != tc.wantLive {
@@ -280,5 +285,42 @@ func TestSimSwitchCrashGates(t *testing.T) {
 	k.Run()
 	if len(fc.seen) != 1 || len(*egress) != 1 {
 		t.Fatalf("post-restart: %d packet_ins, %d egress", len(fc.seen), len(*egress))
+	}
+}
+
+// TestDatapathRefusesOutputToMissingPort pins the install-time check on
+// output ports: a rule toward a port the switch does not have would fail
+// every frame it matched, so the flow_mod is refused with
+// OFPET_BAD_ACTION/BAD_OUT_PORT, as is such a packet_out, and the buffered
+// packet stays where it is.
+func TestDatapathRefusesOutputToMissingPort(t *testing.T) {
+	dp := newDP(t, openflow.GranularityPacket, 4)
+	frame := testFrame(t, "10.1.0.1", 1000, 64)
+	res, err := dp.HandleFrame(0, 1, frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := res.Miss.PacketIn.BufferID
+	parsed, _ := packet.ParseHeaders(frame)
+	toPort9 := []openflow.Action{&openflow.ActionOutput{Port: 9}}
+	for _, m := range []openflow.Message{
+		&openflow.FlowMod{Match: openflow.ExactMatch(1, parsed), Command: openflow.FlowModAdd,
+			Priority: 10, BufferID: id, Actions: toPort9},
+		&openflow.PacketOut{BufferID: id, InPort: 1, Actions: toPort9},
+	} {
+		cres, err := dp.Control(time.Millisecond, m, 1)
+		if err != nil {
+			t.Fatalf("%v: %v", m.Type(), err)
+		}
+		if em, ok := reply(cres).(*openflow.ErrorMsg); !ok || em.ErrType != openflow.ErrTypeBadAction ||
+			em.Code != openflow.ErrCodeBadOutPort || len(cres.Outputs) != 0 {
+			t.Fatalf("%v toward port 9: %+v", m.Type(), cres)
+		}
+	}
+	if dp.Table().Len() != 0 {
+		t.Error("the rule toward port 9 reached the table")
+	}
+	if units := dp.Mechanism().Stats(time.Millisecond).UnitsInUse; units != 1 {
+		t.Errorf("%d units in use, want the refused packet still buffered", units)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"sdnbuffer/internal/core"
-	"sdnbuffer/internal/openflow"
 )
 
 // SimSwitch's data-plane failure surface: the testbed injects link and
@@ -19,27 +18,12 @@ import (
 // bringing it up announces only. No-op when already in the target state,
 // so repeated injections do not re-notify.
 func (s *SimSwitch) SetPortDown(port uint16, down bool) error {
-	if s.dp.PortDown(port) == down {
-		if port < 1 || int(port) > s.dp.cfg.NumPorts {
-			return ErrBadPort
-		}
-		return nil
-	}
-	now := s.kernel.Now()
-	removed, err := s.dp.SetPortDown(now, port, down)
+	msgs, err := s.dp.SetPortDown(s.kernel.Now(), port, down)
 	if err != nil {
 		return err
 	}
-	for _, r := range removed {
-		if fr := s.dp.FlowRemovedFor(r); fr != nil {
-			s.reply(fr, 0)
-		}
-	}
-	if !s.dp.crashed {
-		s.reply(&openflow.PortStatus{
-			Reason: openflow.PortReasonModify,
-			Desc:   s.dp.PhyPortDesc(port),
-		}, 0)
+	for _, m := range msgs {
+		s.reply(m, 0)
 	}
 	return nil
 }
@@ -52,14 +36,7 @@ func (s *SimSwitch) SetPortDown(port uint16, down bool) error {
 func (s *SimSwitch) Crash() core.BufferLoss {
 	loss := s.dp.Crash(s.kernel.Now())
 	s.epoch++
-	if s.mechTimer != nil {
-		s.kernel.Cancel(s.mechTimer)
-		s.mechTimer = nil
-	}
-	if s.expiryTimer != nil {
-		s.kernel.Cancel(s.expiryTimer)
-		s.expiryTimer = nil
-	}
+	s.timer.disarm()
 	// In-flight controller-delay samples and per-port ordering state died
 	// with the chassis; post-restart sequences start fresh. Completions
 	// parked in the in-order hold are frames in the chassis pipeline: they
@@ -79,8 +56,7 @@ func (s *SimSwitch) Crash() core.BufferLoss {
 // controller repopulates state through the ordinary miss path.
 func (s *SimSwitch) Restart() {
 	s.dp.Restart()
-	s.armMechTimer()
-	s.armExpiryTimer()
+	s.timer.arm()
 }
 
 // CrashDrops reports frames and control messages dropped because they

@@ -1,10 +1,10 @@
 package switchd
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
-	"sdnbuffer/internal/core"
 	"sdnbuffer/internal/metrics"
 	"sdnbuffer/internal/netem"
 	"sdnbuffer/internal/openflow"
@@ -104,12 +104,16 @@ type SimSwitch struct {
 	sendCtrl func(msg []byte)
 	transmit func(port uint16, frame []byte)
 
-	nextXid     uint32
-	sentAt      map[uint32]time.Duration
-	ctrlDelay   metrics.Summary
-	nextWakeup  time.Duration
-	mechTimer   *sim.Event
-	expiryTimer *sim.Event
+	nextXid    uint32
+	sentAt     map[uint32]time.Duration
+	ctrlDelay  metrics.Summary
+	nextWakeup time.Duration
+
+	// timer keeps the datapath's deadlines; wake is its one pending kernel
+	// event, and onWake the handler it runs (bound once, not per arm).
+	timer  deadlineTimer
+	wake   *sim.Event
+	onWake func()
 
 	portSeq  map[uint16]uint64 // per-port arrival sequence assigned at ingest
 	portNext map[uint16]uint64 // next per-port sequence the datapath may pick up
@@ -156,11 +160,9 @@ func NewSimSwitch(k *sim.Kernel, cfg SimConfig) (*SimSwitch, error) {
 		portNext: make(map[uint16]uint64),
 		portHeld: make(map[uint16]map[uint64]func()),
 	}
-	if cfg.ReclaimDelay > 0 {
-		if m, ok := dp.Mechanism().(interface{ Pool() *core.Pool }); ok {
-			m.Pool().SetReclaimDelay(cfg.ReclaimDelay)
-		}
-	}
+	s.timer = deadlineTimer{dp: dp, set: s.setWake, stop: s.cancelWake}
+	s.onWake = s.fireTimer
+	dp.setReclaimDelay(cfg.ReclaimDelay)
 	return s, nil
 }
 
@@ -273,34 +275,38 @@ func (s *SimSwitch) processFrame(arrived time.Duration, inPort uint16, frame []b
 		s.emit(o)
 	}
 	if res.Miss == nil {
-		s.armMechTimer()
-		return
+		return // a hit does no timer work
 	}
-	miss := res.Miss
 	extra := time.Duration(0)
-	if miss.Buffered {
+	if res.Miss.Buffered {
 		extra += s.cfg.BufferOpCost
 	}
-	if miss.PacketIn != nil {
-		s.nextXid++
-		xid := s.nextXid
-		msg, err := openflow.Encode(miss.PacketIn, xid)
-		if err != nil {
-			s.ctrlErrors++
-			return
-		}
-		cost := s.cfg.MissCost + extra + time.Duration(len(msg))*s.cfg.PerControlByte
-		epoch := s.epoch
-		s.cpu.Submit(cost, func() {
-			if s.epoch != epoch {
-				return
-			}
-			s.shipControl(xid, msg)
-		})
+	if res.Miss.PacketIn != nil {
+		s.sendPacketIn(res.Miss.PacketIn, extra)
 	} else if extra > 0 {
 		s.cpu.Submit(extra, nil)
 	}
-	s.armMechTimer()
+	s.timer.arm()
+}
+
+// sendPacketIn charges the switch CPU for building a packet_in, plus extra
+// (a buffer store), and then ships it with a fresh xid.
+func (s *SimSwitch) sendPacketIn(pi *openflow.PacketIn, extra time.Duration) {
+	s.nextXid++
+	xid := s.nextXid
+	msg, err := openflow.Encode(pi, xid)
+	if err != nil {
+		s.ctrlErrors++
+		return
+	}
+	cost := s.cfg.MissCost + extra + time.Duration(len(msg))*s.cfg.PerControlByte
+	epoch := s.epoch
+	s.cpu.Submit(cost, func() {
+		if s.epoch != epoch {
+			return
+		}
+		s.shipControl(xid, msg)
+	})
 }
 
 // shipControl moves a control message over the bus and onto the control
@@ -368,75 +374,32 @@ func (s *SimSwitch) DeliverControl(msg []byte) {
 }
 
 func (s *SimSwitch) processControl(msg []byte) {
-	now := s.kernel.Now()
 	m, xid, err := openflow.Decode(msg)
 	if err != nil {
 		s.ctrlErrors++
+		if errors.Is(err, openflow.ErrUnknownType) {
+			s.reply(badTypeError(msg), xid)
+		}
 		return
 	}
-	var res *ControlResult
-	switch t := m.(type) {
-	case *openflow.FlowMod:
-		if s.tel != nil {
-			s.tel.Instant(telemetry.KindFlowMod, now, 0, xid, uint32(len(msg)))
-		}
-		res, err = s.dp.HandleFlowMod(now, t)
-	case *openflow.PacketOut:
-		if s.tel != nil {
-			s.tel.Instant(telemetry.KindPacketOut, now, 0, xid, uint32(len(msg)))
-		}
-		res, err = s.dp.HandlePacketOut(now, t)
-	case *openflow.FeaturesRequest:
-		s.reply(s.dp.Features(), xid)
-	case *openflow.EchoRequest:
-		s.reply(&openflow.EchoReply{Data: t.Data}, xid)
-	case *openflow.BarrierRequest:
-		s.reply(&openflow.BarrierReply{}, xid)
-	case *openflow.GetConfigRequest:
-		s.reply(&openflow.GetConfigReply{Config: openflow.SwitchConfig{
-			MissSendLen: uint16(s.dp.cfg.MissSendLen),
-		}}, xid)
-	case *openflow.StatsRequest:
-		if sr := s.dp.HandleStatsRequest(now, t); sr != nil {
-			s.reply(sr, xid)
-		} else {
-			s.reply(&openflow.ErrorMsg{
-				ErrType: openflow.ErrTypeBadRequest,
-				Code:    openflow.ErrCodeBadType,
-			}, xid)
-		}
-	case *openflow.SetConfig, *openflow.Hello:
-		// Accepted silently.
-	case *openflow.Vendor:
-		s.handleVendor(t, xid)
-	default:
+	if res, err := s.dp.Control(s.kernel.Now(), m, xid); err != nil {
 		s.ctrlErrors++
-	}
-	if err != nil {
-		s.ctrlErrors++
-		return
-	}
-	if res != nil {
+	} else {
 		s.finishControl(res, xid)
 	}
 	// The decoded shell is fully dispatched: the flow table keeps its own
 	// reference to the action slice and released frames alias the packet_out
 	// data's backing array, neither of which shell recycling touches.
 	openflow.ReleaseMessage(m)
-	s.armMechTimer()
-	s.armExpiryTimer()
+	s.timer.arm()
 }
 
-// finishControl emits the results of a flow_mod/packet_out: released
-// packets pay the buffer release cost, then go out the data ports.
+// finishControl sends the messages a control message caused, then the
+// frames it released: released packets pay the buffer release cost and go
+// out the data ports.
 func (s *SimSwitch) finishControl(res *ControlResult, xid uint32) {
-	if res.Reply != nil {
-		s.reply(res.Reply, xid)
-	}
-	for _, r := range res.Removed {
-		if fr := s.dp.FlowRemovedFor(r); fr != nil {
-			s.reply(fr, xid)
-		}
+	for _, m := range res.Msgs {
+		s.reply(m, xid)
 	}
 	if len(res.Outputs) == 0 {
 		return
@@ -451,20 +414,6 @@ func (s *SimSwitch) finishControl(res *ControlResult, xid uint32) {
 	for _, o := range res.Outputs {
 		s.emit(o)
 	}
-}
-
-func (s *SimSwitch) handleVendor(v *openflow.Vendor, xid uint32) {
-	payload, err := openflow.ParseVendor(v)
-	if err != nil {
-		s.ctrlErrors++
-		return
-	}
-	if payload.StatsRequest {
-		stats := s.dp.Mechanism().Stats(s.kernel.Now())
-		s.reply(openflow.EncodeFlowBufferStats(stats), xid)
-	}
-	// Runtime reconfiguration (payload.Config) is a live-mode feature; the
-	// sim switch is configured at construction.
 }
 
 // reply sends a switch-originated message to the controller via the bus.
@@ -486,66 +435,32 @@ func (s *SimSwitch) emit(o Output) {
 	}
 }
 
-// armMechTimer (re)schedules the buffer mechanism's next Tick.
-func (s *SimSwitch) armMechTimer() {
-	deadline, ok := s.dp.Mechanism().NextDeadline()
-	if s.mechTimer != nil {
-		s.kernel.Cancel(s.mechTimer)
-		s.mechTimer = nil
-	}
-	if !ok {
-		return
-	}
-	if deadline < s.kernel.Now() {
-		deadline = s.kernel.Now()
-	}
-	s.mechTimer = s.kernel.At(deadline, func() {
-		s.mechTimer = nil
-		resend := s.dp.Mechanism().Tick(s.kernel.Now())
-		for _, pi := range resend {
-			s.nextXid++
-			xid := s.nextXid
-			msg, err := openflow.Encode(pi, xid)
-			if err != nil {
-				s.ctrlErrors++
-				continue
-			}
-			cost := s.cfg.MissCost + time.Duration(len(msg))*s.cfg.PerControlByte
-			epoch := s.epoch
-			s.cpu.Submit(cost, func() {
-				if s.epoch != epoch {
-					return
-				}
-				s.shipControl(xid, msg)
-			})
-		}
-		s.armMechTimer()
-	})
+// setWake schedules the deadline timer's one kernel event, replacing any
+// pending one.
+func (s *SimSwitch) setWake(at time.Duration) {
+	s.cancelWake()
+	s.wake = s.kernel.At(max(at, s.kernel.Now()), s.onWake)
 }
 
-// armExpiryTimer (re)schedules the flow table's next rule expiry sweep.
-func (s *SimSwitch) armExpiryTimer() {
-	deadline, ok := s.dp.Table().NextExpiry()
-	if s.expiryTimer != nil {
-		s.kernel.Cancel(s.expiryTimer)
-		s.expiryTimer = nil
+func (s *SimSwitch) cancelWake() {
+	if s.wake != nil {
+		s.kernel.Cancel(s.wake)
+		s.wake = nil
 	}
-	if !ok {
-		return
+}
+
+// fireTimer runs the datapath's due timer work: re-request packet_ins pay
+// the packet_in CPU cost, flow_removeds go straight to the bus.
+func (s *SimSwitch) fireTimer() {
+	s.wake = nil
+	rerequests, removed := s.timer.fire(s.kernel.Now())
+	for _, pi := range rerequests {
+		s.sendPacketIn(pi, 0)
 	}
-	if deadline < s.kernel.Now() {
-		deadline = s.kernel.Now()
+	for _, m := range removed {
+		s.reply(m, 0)
 	}
-	s.expiryTimer = s.kernel.At(deadline, func() {
-		s.expiryTimer = nil
-		for _, r := range s.dp.ExpireRules(s.kernel.Now()) {
-			if fr := s.dp.FlowRemovedFor(r); fr != nil {
-				s.reply(fr, 0)
-			}
-		}
-		s.armMechTimer()
-		s.armExpiryTimer()
-	})
+	s.timer.arm()
 }
 
 // CPUUtilizationPercent reports time-averaged switch CPU usage in percent

@@ -189,7 +189,8 @@ func TestSimSwitchEchoAndFeatures(t *testing.T) {
 	sw.DeliverControl(openflow.MustEncode(&openflow.FeaturesRequest{}, 6))
 	sw.DeliverControl(openflow.MustEncode(&openflow.BarrierRequest{}, 7))
 	sw.DeliverControl(openflow.MustEncode(&openflow.GetConfigRequest{}, 8))
-	sw.DeliverControl(openflow.MustEncode(openflow.EncodeFlowBufferStatsRequest(), 9))
+	sw.DeliverControl(openflow.MustEncode(&openflow.SetConfig{Config: openflow.SwitchConfig{MissSendLen: 64}}, 9))
+	sw.DeliverControl(openflow.MustEncode(&openflow.GetConfigRequest{}, 10))
 	k.Run()
 	if len(replies) != 5 {
 		t.Fatalf("replies = %d, want 5", len(replies))
@@ -197,13 +198,10 @@ func TestSimSwitchEchoAndFeatures(t *testing.T) {
 	if fr, ok := replies[1].(*openflow.FeaturesReply); !ok || fr.DatapathID != 7 {
 		t.Errorf("features reply = %+v", replies[1])
 	}
-	if v, ok := replies[4].(*openflow.Vendor); ok {
-		payload, err := openflow.ParseVendor(v)
-		if err != nil || payload.Stats == nil {
-			t.Errorf("stats reply = %+v err %v", payload, err)
+	for i, want := range []uint16{openflow.DefaultMissSendLen, 64} {
+		if gc, ok := replies[3+i].(*openflow.GetConfigReply); !ok || gc.Config.MissSendLen != want {
+			t.Errorf("reply %d = %+v, want miss_send_len %d", 3+i, replies[3+i], want)
 		}
-	} else {
-		t.Errorf("reply 4 = %T", replies[4])
 	}
 }
 
