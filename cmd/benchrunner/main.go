@@ -194,20 +194,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// report is what every scenario run returns: a text table for stdout and
-// CSV rows for -csv.
-type report interface {
-	WriteTable(w io.Writer) error
-	WriteCSV(w io.Writer, includeHeader bool) error
-}
-
 // scenarios are the -scenario sweeps, in usage order. run gets -quick,
 // -repeats and -parallel.
 var scenarios = []struct {
 	name string
-	run  func(quick bool, repeats, parallel int) (report, error)
+	run  func(quick bool, repeats, parallel int) (*experiments.Table, error)
 }{
-	{"resilience", func(quick bool, repeats, parallel int) (report, error) {
+	{"resilience", func(quick bool, repeats, parallel int) (*experiments.Table, error) {
 		opts := experiments.ResilienceOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -215,23 +208,27 @@ var scenarios = []struct {
 		}
 		return experiments.RunResilience(opts)
 	}},
-	{"outage", func(quick bool, _, _ int) (report, error) {
+	{"outage", func(quick bool, _, parallel int) (*experiments.Table, error) {
 		opts := experiments.OutageOptions{}
 		if quick {
 			opts.Flows, opts.PktsPerFlow, opts.Group = 20, 10, 5
 			opts.Window = netem.Window{Start: 5 * time.Millisecond, End: 20 * time.Millisecond}
 		}
-		return experiments.RunOutage(opts)
+		return experiments.RunOutage(opts, parallel)
 	}},
-	{"delay-decomp", func(quick bool, repeats, parallel int) (report, error) {
+	{"delay-decomp", func(quick bool, repeats, parallel int) (*experiments.Table, error) {
 		opts := experiments.DelayDecompOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
 			opts.Flows, opts.PktsPerFlow, opts.Group = 20, 10, 5
 		}
-		return experiments.RunDelayDecomp(opts)
+		res, err := experiments.RunDelayDecomp(opts)
+		if err != nil {
+			return nil, err
+		}
+		return res.Table(), nil
 	}},
-	{"fabric", func(quick bool, repeats, parallel int) (report, error) {
+	{"fabric", func(quick bool, repeats, parallel int) (*experiments.Table, error) {
 		opts := experiments.FabricOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -242,7 +239,7 @@ var scenarios = []struct {
 		}
 		return experiments.RunFabric(opts)
 	}},
-	{"survivability", func(quick bool, repeats, parallel int) (report, error) {
+	{"survivability", func(quick bool, repeats, parallel int) (*experiments.Table, error) {
 		opts := experiments.SurvivabilityOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1
@@ -251,7 +248,7 @@ var scenarios = []struct {
 		}
 		return experiments.RunSurvivability(opts)
 	}},
-	{"tablemgmt", func(quick bool, repeats, parallel int) (report, error) {
+	{"tablemgmt", func(quick bool, repeats, parallel int) (*experiments.Table, error) {
 		opts := experiments.TableMgmtOptions{Repeats: repeats, Parallelism: parallel}
 		if quick {
 			opts.Repeats = 1

@@ -3,38 +3,26 @@ package main
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/csv"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// runCSV drives the real CLI path with the given extra flags and returns the
-// CSV bytes it wrote.
+// runCSV drives the real CLI path over a small figure sweep with the given
+// extra flags and returns the CSV bytes it wrote.
 func runCSV(t *testing.T, extra ...string) []byte {
 	t.Helper()
-	csv := filepath.Join(t.TempDir(), "out.csv")
-	args := append([]string{
+	return runArgsCSV(t, append([]string{
 		"-experiments", "fig2a,fig13a",
 		"-rates", "20,60",
 		"-repeats", "2",
 		"-flows", "60",
-		"-csv", csv,
-	}, extra...)
-	var stdout, stderr bytes.Buffer
-	if code := run(args, &stdout, &stderr); code != 0 {
-		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
-	}
-	b, err := os.ReadFile(csv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b) == 0 {
-		t.Fatal("empty CSV output")
-	}
-	return b
+	}, extra...)...)
 }
 
 // TestCSVDeterminism is the regression gate for the parallel runner's
@@ -68,18 +56,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// runScenarioCSV drives the -scenario CLI path and returns the CSV bytes.
-func runScenarioCSV(t *testing.T, scenario string, extra ...string) []byte {
-	t.Helper()
-	return runQuickCSV(t, append([]string{"-scenario", scenario}, extra...)...)
-}
-
-// runQuickCSV drives a -quick run (the 16-figure sweep unless args pick a
-// scenario) and returns the CSV bytes.
-func runQuickCSV(t *testing.T, extra ...string) []byte {
+// runArgsCSV drives the CLI with args and -csv, and returns the CSV bytes.
+func runArgsCSV(t *testing.T, args ...string) []byte {
 	t.Helper()
 	csv := filepath.Join(t.TempDir(), "out.csv")
-	args := append([]string{"-quick", "-csv", csv}, extra...)
+	args = append(args, "-csv", csv)
 	var stdout, stderr bytes.Buffer
 	if code := run(args, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", args, code, stderr.String())
@@ -94,11 +75,11 @@ func runQuickCSV(t *testing.T, extra ...string) []byte {
 	return b
 }
 
-// quickDigests reads testdata/quick.sha256 (sha256sum format) into a map
+// pinnedDigests reads a sha256sum-format file under testdata into a map
 // from file name to hex digest.
-func quickDigests(t *testing.T) map[string]string {
+func pinnedDigests(t *testing.T, file string) map[string]string {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join("testdata", "quick.sha256"))
+	raw, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +95,14 @@ func quickDigests(t *testing.T) map[string]string {
 }
 
 // TestScenarioCSVDeterminism is the byte-identity fence over the 16-figure
-// sweep and every -scenario sweep: the -quick CSV must be byte-identical at
-// -parallel 1 and 4 (outage ignores -parallel, so this runs it twice), start
-// with the sweep's header, and hash to the digest pinned in
-// testdata/quick.sha256. A change that moves any figure or scenario byte
-// fails here; regenerate the digests only for an intended model change.
+// sweep and every -scenario sweep. Each scenario runs twice over: its
+// -quick grid and its default (full) grid, the fabric's with the
+// 1024-switch scale row. Every CSV must be byte-identical at -parallel 1
+// and 8, start with the sweep's header, and hash to the digest pinned in
+// testdata/quick.sha256 or testdata/full.sha256; the figures run -quick
+// only. Every full-grid table-management row must also close its rule
+// ledger. A change that moves any figure or scenario byte fails here;
+// regenerate the digests only for an intended model change.
 func TestScenarioCSVDeterminism(t *testing.T) {
 	headers := map[string]string{
 		"resilience":    "series,loss_rate,",
@@ -131,31 +115,32 @@ func TestScenarioCSVDeterminism(t *testing.T) {
 	if len(headers) != len(scenarios) {
 		t.Errorf("%d headers pinned for %d scenarios", len(headers), len(scenarios))
 	}
-	digests := quickDigests(t)
-	if len(digests) != len(scenarios)+1 {
-		t.Errorf("%d digests pinned for %d scenarios and the figures", len(digests), len(scenarios))
+	quick, full := pinnedDigests(t, "quick.sha256"), pinnedDigests(t, "full.sha256")
+	if len(quick) != len(scenarios)+1 || len(full) != len(scenarios) {
+		t.Errorf("%d quick and %d full digests pinned for %d scenarios and the figures",
+			len(quick), len(full), len(scenarios))
 	}
-	check := func(t *testing.T, name, header string, csv func(...string) []byte) {
-		serial := csv("-parallel", "1")
-		parallel := csv("-parallel", "4")
+	check := func(t *testing.T, digests map[string]string, name, header string, args ...string) []byte {
+		t.Helper()
+		serial := runArgsCSV(t, slices.Concat(args, []string{"-parallel", "1"})...)
+		parallel := runArgsCSV(t, slices.Concat(args, []string{"-parallel", "8"})...)
 		if !bytes.Equal(serial, parallel) {
-			t.Errorf("CSV differs serial vs parallel:\n%s\nvs\n%s", serial, parallel)
+			t.Errorf("%v: CSV differs serial vs parallel:\n%s\nvs\n%s", args, serial, parallel)
 		}
 		if !strings.HasPrefix(string(serial), header) {
-			t.Errorf("CSV header %q missing: %q", header, string(serial[:min(len(serial), 40)]))
+			t.Errorf("%v: CSV header %q missing: %q", args, header, string(serial[:min(len(serial), 40)]))
 		}
 		want, ok := digests[name+".csv"]
 		if !ok {
-			t.Fatalf("no digest pinned for %s.csv", name)
+			t.Fatalf("%v: no digest pinned for %s.csv", args, name)
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256(serial)); got != want {
-			t.Errorf("%s.csv sha256 = %s, pinned %s", name, got, want)
+			t.Errorf("%v: %s.csv sha256 = %s, pinned %s", args, name, got, want)
 		}
+		return serial
 	}
 	t.Run("figures", func(t *testing.T) {
-		check(t, "figs", "experiment,series,", func(extra ...string) []byte {
-			return runQuickCSV(t, extra...)
-		})
+		check(t, quick, "figs", "experiment,series,", "-quick")
 	})
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -163,14 +148,35 @@ func TestScenarioCSVDeterminism(t *testing.T) {
 			if !ok {
 				t.Fatalf("no header pinned for scenario %q", sc.name)
 			}
-			check(t, sc.name, header, func(extra ...string) []byte {
-				return runScenarioCSV(t, sc.name, extra...)
-			})
+			check(t, quick, sc.name, header, "-scenario", sc.name, "-quick")
+			csv := check(t, full, sc.name, header, "-scenario", sc.name)
+			if sc.name == "tablemgmt" {
+				checkClosedLedgers(t, csv)
+			}
 		})
 	}
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-scenario", "nope"}, &stdout, &stderr); code != 2 {
 		t.Errorf("unknown scenario: exit %d, want 2", code)
+	}
+}
+
+// checkClosedLedgers requires ledger_gap == 0 in every table-management row:
+// installed == active + removed by reason + rejected + cleared.
+func checkClosedLedgers(t *testing.T, raw []byte) {
+	t.Helper()
+	rows, err := csv.NewReader(bytes.NewReader(raw)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(rows[0], "ledger_gap")
+	if col < 0 {
+		t.Fatalf("no ledger_gap column in %q", rows[0])
+	}
+	for _, row := range rows[1:] {
+		if row[col] != "0" {
+			t.Errorf("open rule ledger: %q", row)
+		}
 	}
 }
 

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"strings"
 	"time"
 
@@ -27,15 +27,16 @@ type DelayDecompOptions struct {
 	// (default 50/20/5, the §V shape: the miss path and the fast path both
 	// appear).
 	Flows, PktsPerFlow, Group int
-	// SpanCapacity sizes each cell's tracer ring (default 1<<18). A cell
-	// whose ring overflows fails the sweep: a decomposition over a partial
-	// window would silently misreport the early stages.
-	SpanCapacity int
 	// Parallelism fans the (series, rate, repeat) grid across workers
 	// (default GOMAXPROCS). Per-cell histograms are merged in a fixed order,
 	// so output is byte-identical at any setting.
 	Parallelism int
 }
+
+// decompSpanCapacity sizes each cell's tracer ring. A cell whose ring
+// overflows fails the sweep: a decomposition over a partial window would
+// silently misreport the early stages.
+const decompSpanCapacity = 1 << 18
 
 func (o DelayDecompOptions) withDefaults() DelayDecompOptions {
 	if len(o.Rates) == 0 {
@@ -52,9 +53,6 @@ func (o DelayDecompOptions) withDefaults() DelayDecompOptions {
 	}
 	if o.Group == 0 {
 		o.Group = 5
-	}
-	if o.SpanCapacity == 0 {
-		o.SpanCapacity = 1 << 18
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
@@ -120,8 +118,8 @@ func runDelayDecompCell(s Series, opts DelayDecompOptions, rate float64, seed in
 	}
 	tracer := tb.Telemetry().Tracer()
 	if d := tracer.Dropped(); d > 0 {
-		return decompCell{}, fmt.Errorf("tracer ring overflowed (%d spans dropped); raise SpanCapacity above %d",
-			d, opts.SpanCapacity)
+		return decompCell{}, fmt.Errorf("tracer ring overflowed: %d spans dropped past its %d-span capacity (decompSpanCapacity)",
+			d, decompSpanCapacity)
 	}
 	dec, err := telemetry.NewDecomposition(nil)
 	if err != nil {
@@ -255,71 +253,31 @@ func (p *DelayDecompPoint) measuredControllerService() *telemetry.StageStats {
 	return nil
 }
 
-// WriteTable renders the sweep as fixed-width per-stage delay tables, one
-// block per (series, rate), each followed by the M/M/c model comparison for
-// the controller-service stage.
-func (r *DelayDecompResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "delay-decomp — per-stage delay decomposition (%d×%d-packet flows, %d repeats)\n",
-		r.Options.Flows, r.Options.PktsPerFlow, r.Options.Repeats); err != nil {
-		return err
-	}
-	header := fmt.Sprintf("%-20s %6s %-20s %8s %10s %10s %10s %10s %10s",
-		"series", "Mbps", "stage", "count", "mean_us", "p50_us", "p95_us", "p99_us", "max_us")
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(header))); err != nil {
-		return err
-	}
+// Table renders the measured stage statistics, one row per (series, rate,
+// stage) with times in microseconds. Its title carries the M/M/c model's
+// prediction for the controller-service stage of every (series, rate) beside
+// the measured mean.
+func (r *DelayDecompResult) Table() *Table {
+	title := []string{fmt.Sprintf("delay-decomp — per-stage delay decomposition (%d×%d-packet flows, %d repeats)",
+		r.Options.Flows, r.Options.PktsPerFlow, r.Options.Repeats)}
+	t := &Table{Header: []string{"series", "rate_mbps", "stage", "count", "mean_us", "p50_us", "p95_us", "p99_us", "max_us"}}
 	for _, s := range r.Series {
 		for _, p := range s.Points {
+			rate := strconv.FormatFloat(p.RateMbps, 'g', -1, 64)
 			for _, st := range p.Stages {
-				if _, err := fmt.Fprintf(w, "%-20s %6g %-20s %8d %10s %10s %10s %10s %10s\n",
-					s.Series.Name, p.RateMbps, st.Stage, st.Count,
-					telemetry.Micros(st.Mean), telemetry.Micros(st.P50),
-					telemetry.Micros(st.P95), telemetry.Micros(st.P99),
-					telemetry.Micros(st.Max)); err != nil {
-					return err
-				}
+				t.Rows = append(t.Rows, []string{s.Series.Name, rate, st.Stage.String(), strconv.FormatInt(st.Count, 10),
+					telemetry.Micros(st.Mean), telemetry.Micros(st.P50), telemetry.Micros(st.P95),
+					telemetry.Micros(st.P99), telemetry.Micros(st.Max)})
 			}
-			meas := p.measuredControllerService()
-			if meas != nil && meas.Count > 0 {
-				if _, err := fmt.Fprintf(w,
-					"%-20s %6g model: M/M/%d λ=%.0f/s µ=%.0f/s → sojourn %s µs (measured %s µs)\n",
-					s.Series.Name, p.RateMbps, p.Servers, p.Lambda, p.Mu,
-					telemetry.Micros(p.ModelSojourn), telemetry.Micros(meas.Mean)); err != nil {
-					return err
-				}
+			if meas := p.measuredControllerService(); meas != nil && meas.Count > 0 {
+				title = append(title, fmt.Sprintf("%s %s Mbps model: M/M/%d λ=%.0f/s µ=%.0f/s → sojourn %s µs (measured %s µs)",
+					s.Series.Name, rate, p.Servers, p.Lambda, p.Mu,
+					telemetry.Micros(p.ModelSojourn), telemetry.Micros(meas.Mean)))
 			}
 		}
 	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// WriteCSV renders the measured stage statistics as CSV rows:
-// series,rate_mbps,stage,count,mean_us,p50_us,p95_us,p99_us,max_us.
-// Output is byte-identical at any Parallelism.
-func (r *DelayDecompResult) WriteCSV(w io.Writer, includeHeader bool) error {
-	if includeHeader {
-		if _, err := fmt.Fprintln(w, "series,rate_mbps,stage,count,mean_us,p50_us,p95_us,p99_us,max_us"); err != nil {
-			return err
-		}
-	}
-	for _, s := range r.Series {
-		for _, p := range s.Points {
-			for _, st := range p.Stages {
-				if _, err := fmt.Fprintf(w, "%s,%g,%s,%d,%s,%s,%s,%s,%s\n",
-					s.Series.Name, p.RateMbps, st.Stage, st.Count,
-					telemetry.Micros(st.Mean), telemetry.Micros(st.P50),
-					telemetry.Micros(st.P95), telemetry.Micros(st.P99),
-					telemetry.Micros(st.Max)); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	t.Title = strings.Join(title, "\n")
+	return t
 }
 
 // RunTraced executes one (series, rate) run with the telemetry recorder
@@ -335,7 +293,7 @@ func RunTraced(s Series, opts DelayDecompOptions, rate float64, seed int64) (*te
 func runTraced(s Series, opts DelayDecompOptions, rate float64, seed int64) (*testbed.Testbed, *testbed.Result, error) {
 	cfg := testbed.DefaultConfig(s.Buffer, s.BufferCapacity)
 	cfg.Seed = seed
-	cfg.Telemetry = &telemetry.Config{SpanCapacity: opts.SpanCapacity}
+	cfg.Telemetry = &telemetry.Config{SpanCapacity: decompSpanCapacity}
 	tb, err := testbed.New(cfg)
 	if err != nil {
 		return nil, nil, err

@@ -21,34 +21,6 @@ func quickDecompOptions(parallel int) DelayDecompOptions {
 	}
 }
 
-func TestDelayDecompCSVIdenticalAtAnyParallelism(t *testing.T) {
-	serial, err := RunDelayDecomp(quickDecompOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunDelayDecomp(quickDecompOptions(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := serial.WriteCSV(&a, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := parallel.WriteCSV(&b, true); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Errorf("CSV differs between -parallel 1 and -parallel 8:\n%s\nvs\n%s", a.String(), b.String())
-	}
-	var tbl bytes.Buffer
-	if err := parallel.WriteTable(&tbl); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(tbl.String(), "model: M/M/") {
-		t.Error("table missing the queueing-model comparison line")
-	}
-}
-
 func TestDelayDecompStagesPopulated(t *testing.T) {
 	res, err := RunDelayDecomp(quickDecompOptions(0))
 	if err != nil {
@@ -75,6 +47,10 @@ func TestDelayDecompStagesPopulated(t *testing.T) {
 		if p.ModelSojourn <= 0 || math.IsNaN(p.ModelSojourn) {
 			t.Errorf("model sojourn %g at %g Mbps", p.ModelSojourn, p.RateMbps)
 		}
+	}
+	// The table's title carries the queueing-model comparison.
+	if title := res.Table().Title; !strings.Contains(title, "model: M/M/") {
+		t.Errorf("table title missing the queueing-model comparison line:\n%s", title)
 	}
 	// The no-buffer baseline must not report buffer residency.
 	baseline, err := findDecompSeries(res, SeriesNoBuffer.Name)

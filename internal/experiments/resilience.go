@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"runtime"
-	"strings"
+	"strconv"
 	"time"
 
 	"sdnbuffer/internal/chaos"
-	"sdnbuffer/internal/metrics"
 	"sdnbuffer/internal/netem"
 	"sdnbuffer/internal/openflow"
 	"sdnbuffer/internal/pktgen"
@@ -39,16 +37,11 @@ type ResilienceOptions struct {
 	// BurstLen, when > 1, switches the loss model from i.i.d. to
 	// Gilbert–Elliott with this mean burst length (in control messages).
 	BurstLen float64
-	// RateMbps is the fixed workload sending rate (default 50).
-	RateMbps float64
 	// Repeats is the number of seeds per point (default 3).
 	Repeats int
 	// Flows, PktsPerFlow, Group shape the interleaved-burst workload
-	// (default 50/20/5, the §V shape).
+	// (default 50/20/5, the §V shape), sent at singleSwitchRate.
 	Flows, PktsPerFlow, Group int
-	// BufferExpiry bounds buffered-packet lifetime so units stranded by a
-	// lost request eventually expire (default 1s).
-	BufferExpiry time.Duration
 	// Parallelism fans the (series, loss, repeat) grid across workers
 	// (default GOMAXPROCS). Results are folded in a fixed order, so output
 	// is byte-identical at any setting.
@@ -58,9 +51,6 @@ type ResilienceOptions struct {
 func (o ResilienceOptions) withDefaults() ResilienceOptions {
 	if len(o.LossRates) == 0 {
 		o.LossRates = []float64{0, 0.01, 0.02, 0.05, 0.10}
-	}
-	if o.RateMbps == 0 {
-		o.RateMbps = 50
 	}
 	if o.Repeats == 0 {
 		o.Repeats = 3
@@ -74,51 +64,19 @@ func (o ResilienceOptions) withDefaults() ResilienceOptions {
 	if o.Group == 0 {
 		o.Group = 5
 	}
-	if o.BufferExpiry == 0 {
-		o.BufferExpiry = time.Second
-	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
 
-// resilienceCell is the raw metric set of one (series, loss, seed) run.
-type resilienceCell struct {
-	delivered, sent int64
-	rerequests      uint64
-	giveups         uint64
-	fallbacks       uint64
-	leaked          int
-	dups, misorders int64
-}
-
-// ResiliencePoint aggregates one loss rate of one series across repeats.
-type ResiliencePoint struct {
-	LossRate float64
-	// Delivery is the per-repeat delivered/sent ratio.
-	Delivery metrics.Summary
-	// Rerequests, Giveups and Fallbacks are summed across repeats.
-	Rerequests, Giveups, Fallbacks uint64
-	// Leaked is the worst pool occupancy left at quiescence across repeats
-	// (the acceptance criterion demands zero for the flow series).
-	Leaked int
-	// Dups and Misorders sum duplicate and out-of-order workload emissions
-	// observed at the switch's transmit tap.
-	Dups, Misorders int64
-}
-
-// ResilienceSeriesResult is one mechanism's curve.
-type ResilienceSeriesResult struct {
-	Series Series
-	Points []ResiliencePoint
-}
-
-// ResilienceResult is a completed loss-rate × mechanism sweep.
-type ResilienceResult struct {
-	Options ResilienceOptions
-	Series  []ResilienceSeriesResult
-}
+// The resilience and outage scenarios send at singleSwitchRate Mbps, and
+// bufferExpiry bounds buffered-packet lifetime so units stranded by a lost
+// request eventually expire.
+const (
+	singleSwitchRate float64 = 50
+	bufferExpiry             = time.Second
+)
 
 // ResilienceSeries are the mechanisms the sweep compares: packet granularity
 // (no re-request), flow granularity (retry forever) and the hardened flow
@@ -127,181 +85,114 @@ func ResilienceSeries() []Series {
 	return []Series{SeriesPacketGranularity, SeriesFlowGranularity, SeriesFlowHardened}
 }
 
+// resilienceJob is one (series, loss, seed) run.
+type resilienceJob struct {
+	series Series
+	loss   float64
+	seed   int64
+}
+
+type singleRun = *testbed.Result
+
 // resilienceConfig builds the testbed for one cell: §V platform, combined
 // flow_mods (atomic install+release keeps drains exactly-once under
 // duplicated re-requests) and the cell's loss plan.
-func resilienceConfig(s Series, opts ResilienceOptions, loss float64, seed int64) (testbed.Config, error) {
-	cfg := testbed.DefaultConfig(s.Buffer, s.BufferCapacity)
-	cfg.Seed = seed
-	cfg.Switch.Datapath.BufferExpiry = opts.BufferExpiry
+func resilienceConfig(j resilienceJob, opts ResilienceOptions) (testbed.Config, error) {
+	cfg := testbed.DefaultConfig(j.series.Buffer, j.series.BufferCapacity)
+	cfg.Seed = j.seed
+	cfg.Switch.Datapath.BufferExpiry = bufferExpiry
 	cfg.Forwarder.CombinedFlowMod = true
-	if loss > 0 {
+	if j.loss > 0 {
 		if opts.BurstLen > 1 {
-			plan, err := chaos.BurstyLoss(loss, opts.BurstLen)
+			plan, err := chaos.BurstyLoss(j.loss, opts.BurstLen)
 			if err != nil {
 				return cfg, err
 			}
 			cfg.Chaos = plan
 		} else {
-			cfg.Chaos = chaos.SymmetricLoss(loss)
+			cfg.Chaos = chaos.SymmetricLoss(j.loss)
 		}
 	}
 	return cfg, nil
 }
 
-func runResilienceCell(s Series, opts ResilienceOptions, loss float64, seed int64) (resilienceCell, error) {
-	cfg, err := resilienceConfig(s, opts, loss, seed)
-	if err != nil {
-		return resilienceCell{}, err
-	}
+// runSingleSwitch runs the §V interleaved-burst workload at singleSwitchRate
+// on the one-switch platform cfg describes.
+func runSingleSwitch(cfg testbed.Config, flows, pktsPerFlow, group int) (singleRun, error) {
 	tb, err := testbed.New(cfg)
-	if err != nil {
-		return resilienceCell{}, err
-	}
-	sched, err := pktgen.InterleavedBursts(workloadConfig(frameSize, opts.RateMbps, seed, singleSwitchDst),
-		opts.Flows, opts.PktsPerFlow, opts.Group)
-	if err != nil {
-		return resilienceCell{}, err
-	}
-	res, err := tb.Run(sched)
-	if err != nil {
-		return resilienceCell{}, err
-	}
-	return resilienceCell{
-		delivered:  res.FramesDelivered,
-		sent:       int64(res.FramesSent),
-		rerequests: res.Rerequests,
-		giveups:    res.Giveups,
-		fallbacks:  res.BufferFallbacks,
-		leaked:     res.BufferUnitsLeaked,
-		dups:       res.DupEmissions,
-		misorders:  res.OrderViolations,
-	}, nil
-}
-
-// RunResilience executes the loss-rate × mechanism sweep, fanning the
-// (series, loss, repeat) grid across Parallelism workers and folding the
-// per-cell metrics in a fixed order — the same determinism contract as Run.
-func RunResilience(opts ResilienceOptions) (*ResilienceResult, error) {
-	opts = opts.withDefaults()
-	series := ResilienceSeries()
-	type rcell struct{ s, l, rep int }
-	var cells []rcell
-	for si := range series {
-		for li := range opts.LossRates {
-			for rep := 0; rep < opts.Repeats; rep++ {
-				cells = append(cells, rcell{s: si, l: li, rep: rep})
-			}
-		}
-	}
-	vals, err := runCells(cells, opts.Parallelism, func(c rcell) (resilienceCell, error) {
-		v, err := runResilienceCell(series[c.s], opts, opts.LossRates[c.l], int64(c.rep)+1)
-		if err != nil {
-			return v, fmt.Errorf("experiments: resilience %s at loss %g rep %d: %w",
-				series[c.s].Name, opts.LossRates[c.l], c.rep, err)
-		}
-		return v, nil
-	})
 	if err != nil {
 		return nil, err
 	}
+	sched, err := pktgen.InterleavedBursts(workloadConfig(frameSize, singleSwitchRate, cfg.Seed, singleSwitchDst),
+		flows, pktsPerFlow, group)
+	if err != nil {
+		return nil, err
+	}
+	return tb.Run(sched)
+}
 
-	out := &ResilienceResult{Options: opts}
-	i := 0
-	for _, s := range series {
-		sr := ResilienceSeriesResult{Series: s}
+// RunResilience executes the loss-rate × mechanism sweep, one row per
+// (series, loss rate) folded over its repeats: delivery's mean, stddev and
+// min, the re-request counters and duplicate and out-of-order emissions at
+// the switch's transmit tap (summed), and the worst pool occupancy left at
+// quiescence (leaked; acceptance demands zero for the flow series). Output
+// is byte-identical at any Parallelism.
+func RunResilience(opts ResilienceOptions) (*Table, error) {
+	opts = opts.withDefaults()
+	var groups [][]resilienceJob
+	for _, s := range ResilienceSeries() {
 		for _, loss := range opts.LossRates {
-			p := ResiliencePoint{LossRate: loss}
-			for rep := 0; rep < opts.Repeats; rep++ {
-				v := vals[i]
-				i++
-				if v.sent > 0 {
-					p.Delivery.Observe(float64(v.delivered) / float64(v.sent))
-				}
-				p.Rerequests += v.rerequests
-				p.Giveups += v.giveups
-				p.Fallbacks += v.fallbacks
-				if v.leaked > p.Leaked {
-					p.Leaked = v.leaked
-				}
-				p.Dups += v.dups
-				p.Misorders += v.misorders
-			}
-			sr.Points = append(sr.Points, p)
+			groups = append(groups, repeatGroup(opts.Repeats, func(seed int64) resilienceJob {
+				return resilienceJob{series: s, loss: loss, seed: seed}
+			}))
 		}
-		out.Series = append(out.Series, sr)
 	}
-	return out, nil
+	return sweep[resilienceJob, singleRun]{
+		name: "resilience",
+		title: fmt.Sprintf("resilience — delivery under control-channel loss (rate %g Mbps, %d repeats)",
+			singleSwitchRate, opts.Repeats),
+		groups: groups,
+		cell: func(j resilienceJob) (singleRun, error) {
+			cfg, err := resilienceConfig(j, opts)
+			if err != nil {
+				return nil, err
+			}
+			return runSingleSwitch(cfg, opts.Flows, opts.PktsPerFlow, opts.Group)
+		},
+		cols: []column[resilienceJob, singleRun]{
+			{name: "series", key: func(j resilienceJob) string { return j.series.Name }},
+			{name: "loss_rate", key: func(j resilienceJob) string { return strconv.FormatFloat(j.loss, 'g', -1, 64) }},
+			{name: "delivery_mean", fold: foldMean, sample: delivery},
+			{name: "delivery_stddev", fold: foldStdDev, sample: delivery},
+			{name: "delivery_min", fold: foldMin, sample: delivery},
+			{name: "rerequests", fold: foldSum, sample: func(r singleRun) float64 { return float64(r.Rerequests) }},
+			{name: "giveups", fold: foldSum, sample: giveups},
+			{name: "fallbacks", fold: foldSum, sample: func(r singleRun) float64 { return float64(r.BufferFallbacks) }},
+			{name: "leaked", fold: foldWorst, sample: leaked},
+			{name: "dups", fold: foldSum, sample: dups},
+			{name: "misorders", fold: foldSum, sample: misorders},
+		},
+	}.run(opts.Parallelism)
 }
 
-// WriteTable renders the sweep as a fixed-width text table, one row per
-// (series, loss rate).
-func (r *ResilienceResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "resilience — delivery under control-channel loss (rate %g Mbps, %d repeats)\n",
-		r.Options.RateMbps, r.Options.Repeats); err != nil {
-		return err
-	}
-	header := fmt.Sprintf("%-20s %8s %10s %10s %8s %9s %7s %6s %9s",
-		"series", "loss", "delivery", "±sd", "rereq", "giveups", "fallbk", "leak", "dup/misord")
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(header))); err != nil {
-		return err
-	}
-	for _, s := range r.Series {
-		for _, p := range s.Points {
-			if _, err := fmt.Fprintf(w, "%-20s %8.3g %10.4f %10.4f %8d %9d %7d %6d %5d/%d\n",
-				s.Series.Name, p.LossRate, p.Delivery.Mean(), p.Delivery.StdDev(),
-				p.Rerequests, p.Giveups, p.Fallbacks, p.Leaked, p.Dups, p.Misorders); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// WriteCSV renders the sweep as CSV rows:
-// series,loss_rate,delivery_mean,delivery_stddev,delivery_min,rerequests,giveups,fallbacks,leaked,dups,misorders.
-func (r *ResilienceResult) WriteCSV(w io.Writer, includeHeader bool) error {
-	if includeHeader {
-		if _, err := fmt.Fprintln(w, "series,loss_rate,delivery_mean,delivery_stddev,delivery_min,rerequests,giveups,fallbacks,leaked,dups,misorders"); err != nil {
-			return err
-		}
-	}
-	for _, s := range r.Series {
-		for _, p := range s.Points {
-			if _, err := fmt.Fprintf(w, "%s,%g,%g,%g,%g,%d,%d,%d,%d,%d,%d\n",
-				s.Series.Name, p.LossRate, p.Delivery.Mean(), p.Delivery.StdDev(), p.Delivery.Min(),
-				p.Rerequests, p.Giveups, p.Fallbacks, p.Leaked, p.Dups, p.Misorders); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+// Per-run samples the resilience and outage columns share.
+func giveups(r singleRun) float64   { return float64(r.Giveups) }
+func leaked(r singleRun) float64    { return float64(r.BufferUnitsLeaked) }
+func dups(r singleRun) float64      { return float64(r.DupEmissions) }
+func misorders(r singleRun) float64 { return float64(r.OrderViolations) }
 
 // OutageOptions configure the control-channel blackout scenario.
 type OutageOptions struct {
 	// Window is the blackout (default 40ms–120ms, mid-workload).
 	Window netem.Window
-	// RateMbps, Flows, PktsPerFlow, Group shape the workload exactly as in
+	// Flows, PktsPerFlow, Group shape the workload exactly as in
 	// ResilienceOptions.
-	RateMbps                  float64
 	Flows, PktsPerFlow, Group int
-	// Seed drives the run (default 1).
-	Seed int64
-	// BufferExpiry as in ResilienceOptions (default 1s).
-	BufferExpiry time.Duration
 }
 
 func (o OutageOptions) withDefaults() OutageOptions {
 	if o.Window == (netem.Window{}) {
 		o.Window = netem.Window{Start: 40 * time.Millisecond, End: 120 * time.Millisecond}
-	}
-	if o.RateMbps == 0 {
-		o.RateMbps = 50
 	}
 	if o.Flows == 0 {
 		o.Flows = 50
@@ -312,127 +203,56 @@ func (o OutageOptions) withDefaults() OutageOptions {
 	if o.Group == 0 {
 		o.Group = 5
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.BufferExpiry == 0 {
-		o.BufferExpiry = time.Second
-	}
 	return o
 }
 
-// OutageRow is one (mechanism, fail mode) cell of the outage scenario.
-type OutageRow struct {
-	Series   string
-	FailMode switchd.FailMode
-	// Delivery is delivered/sent for the run.
-	Delivery float64
-	// StandaloneForwards and ControlDownMisses are the datapath fail-mode
-	// counters; Giveups/Leaked/Dups/Misorders as in ResiliencePoint.
-	StandaloneForwards uint64
-	ControlDownMisses  uint64
-	Giveups            uint64
-	Leaked             int
-	Dups, Misorders    int64
-}
-
-// OutageResult is a completed blackout scenario.
-type OutageResult struct {
-	Options OutageOptions
-	Rows    []OutageRow
+// outageJob is one (mechanism, fail mode) cell of the outage grid.
+type outageJob struct {
+	series Series
+	mode   switchd.FailMode
 }
 
 // RunOutage runs the blackout scenario for {no-buffer, flow-granularity} ×
-// {fail-secure, fail-standalone}: the switch sees the control channel die
-// mid-workload, degrades per its fail mode, and recovers when the window
-// ends. Four cells, run serially — determinism is trivial.
-func RunOutage(opts OutageOptions) (*OutageResult, error) {
+// {fail-secure, fail-standalone}, one seed each, across parallelism
+// workers (at least one): the switch sees the control channel die mid-workload, degrades
+// per its fail mode, and recovers when the window ends. Each row carries
+// delivery, the datapath fail-mode counters (standalone forwards and
+// control-down misses) and the giveup, leak, duplicate and misorder counts.
+func RunOutage(opts OutageOptions, parallelism int) (*Table, error) {
 	opts = opts.withDefaults()
-	series := []Series{SeriesNoBuffer, SeriesFlowGranularity}
-	modes := []switchd.FailMode{switchd.FailSecure, switchd.FailStandalone}
-	var rows []OutageRow
-	for _, s := range series {
-		for _, mode := range modes {
-			cfg := testbed.DefaultConfig(s.Buffer, s.BufferCapacity)
-			cfg.Seed = opts.Seed
-			cfg.Switch.Datapath.BufferExpiry = opts.BufferExpiry
-			cfg.Switch.Datapath.FailMode = mode
+	var groups [][]outageJob
+	for _, s := range []Series{SeriesNoBuffer, SeriesFlowGranularity} {
+		for _, mode := range []switchd.FailMode{switchd.FailSecure, switchd.FailStandalone} {
+			groups = append(groups, []outageJob{{series: s, mode: mode}})
+		}
+	}
+	return sweep[outageJob, singleRun]{
+		name: "outage",
+		title: fmt.Sprintf("outage — control blackout %v–%v at %g Mbps",
+			opts.Window.Start, opts.Window.End, singleSwitchRate),
+		groups: groups,
+		cell: func(j outageJob) (singleRun, error) {
+			cfg := testbed.DefaultConfig(j.series.Buffer, j.series.BufferCapacity)
+			cfg.Seed = 1
+			cfg.Switch.Datapath.BufferExpiry = bufferExpiry
+			cfg.Switch.Datapath.FailMode = j.mode
 			cfg.Forwarder.CombinedFlowMod = true
 			cfg.Chaos = &chaos.Plan{
-				Name:          fmt.Sprintf("outage-%s-%s", s.Name, mode),
+				Name:          fmt.Sprintf("outage-%s-%s", j.series.Name, j.mode),
 				SwitchOutages: []netem.Window{opts.Window},
 			}
-			tb, err := testbed.New(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: outage %s/%s: %w", s.Name, mode, err)
-			}
-			sched, err := pktgen.InterleavedBursts(workloadConfig(frameSize, opts.RateMbps, opts.Seed, singleSwitchDst),
-				opts.Flows, opts.PktsPerFlow, opts.Group)
-			if err != nil {
-				return nil, err
-			}
-			res, err := tb.Run(sched)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: outage %s/%s: %w", s.Name, mode, err)
-			}
-			row := OutageRow{
-				Series:             s.Name,
-				FailMode:           mode,
-				StandaloneForwards: res.StandaloneForwards,
-				ControlDownMisses:  res.ControlDownMisses,
-				Giveups:            res.Giveups,
-				Leaked:             res.BufferUnitsLeaked,
-				Dups:               res.DupEmissions,
-				Misorders:          res.OrderViolations,
-			}
-			if res.FramesSent > 0 {
-				row.Delivery = float64(res.FramesDelivered) / float64(res.FramesSent)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return &OutageResult{Options: opts, Rows: rows}, nil
-}
-
-// WriteTable renders the blackout scenario rows.
-func (r *OutageResult) WriteTable(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "outage — control blackout %v–%v at %g Mbps\n",
-		r.Options.Window.Start, r.Options.Window.End, r.Options.RateMbps); err != nil {
-		return err
-	}
-	header := fmt.Sprintf("%-18s %-16s %10s %11s %10s %8s %6s %9s",
-		"series", "fail-mode", "delivery", "standalone", "downmiss", "giveups", "leak", "dup/misord")
-	if _, err := fmt.Fprintln(w, header); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, strings.Repeat("-", len(header))); err != nil {
-		return err
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%-18s %-16s %10.4f %11d %10d %8d %6d %5d/%d\n",
-			row.Series, row.FailMode, row.Delivery, row.StandaloneForwards, row.ControlDownMisses,
-			row.Giveups, row.Leaked, row.Dups, row.Misorders); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w)
-	return err
-}
-
-// WriteCSV renders the blackout rows as CSV:
-// series,fail_mode,delivery,standalone_forwards,control_down_misses,giveups,leaked,dups,misorders.
-func (r *OutageResult) WriteCSV(w io.Writer, includeHeader bool) error {
-	if includeHeader {
-		if _, err := fmt.Fprintln(w, "series,fail_mode,delivery,standalone_forwards,control_down_misses,giveups,leaked,dups,misorders"); err != nil {
-			return err
-		}
-	}
-	for _, row := range r.Rows {
-		if _, err := fmt.Fprintf(w, "%s,%s,%g,%d,%d,%d,%d,%d,%d\n",
-			row.Series, row.FailMode, row.Delivery, row.StandaloneForwards, row.ControlDownMisses,
-			row.Giveups, row.Leaked, row.Dups, row.Misorders); err != nil {
-			return err
-		}
-	}
-	return nil
+			return runSingleSwitch(cfg, opts.Flows, opts.PktsPerFlow, opts.Group)
+		},
+		cols: []column[outageJob, singleRun]{
+			{name: "series", key: func(j outageJob) string { return j.series.Name }},
+			{name: "fail_mode", key: func(j outageJob) string { return j.mode.String() }},
+			{name: "delivery", fold: foldMean, sample: delivery},
+			{name: "standalone_forwards", fold: foldSum, sample: func(r singleRun) float64 { return float64(r.StandaloneForwards) }},
+			{name: "control_down_misses", fold: foldSum, sample: func(r singleRun) float64 { return float64(r.ControlDownMisses) }},
+			{name: "giveups", fold: foldSum, sample: giveups},
+			{name: "leaked", fold: foldWorst, sample: leaked},
+			{name: "dups", fold: foldSum, sample: dups},
+			{name: "misorders", fold: foldSum, sample: misorders},
+		},
+	}.run(parallelism)
 }

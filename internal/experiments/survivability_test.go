@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -20,19 +19,6 @@ func survivabilityTestOptions() SurvivabilityOptions {
 	}
 }
 
-func survivabilityCSV(t *testing.T, opts SurvivabilityOptions) string {
-	t.Helper()
-	res, err := RunSurvivability(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := res.WriteCSV(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // TestSurvivabilitySweep pins the sweep's acceptance columns: every cell
 // reroutes, closes its drop ledger, and keeps the loop/duplication/leak
 // counters at zero.
@@ -41,44 +27,30 @@ func TestSurvivabilitySweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(res.Points), 2*2; got != want { // 2 scenarios × 2 shard counts
+	rows := rowsOf(t, res)
+	if got, want := len(rows), 2*2; got != want { // 2 scenarios × 2 shard counts
 		t.Fatalf("%d points, want %d", got, want)
 	}
-	for _, p := range res.Points {
-		label := p.Topo + "/" + p.Scenario + "/" + p.Series
-		if p.Rerouted == 0 {
+	for _, p := range rows {
+		label := p.str("topo") + "/" + p.str("scenario") + "/" + p.str("mechanism")
+		if p.num("rerouted") == 0 {
 			t.Errorf("%s: no reroutes — the failure was never learned", label)
 		}
-		if p.ConvergeMs.Mean() <= 0 {
-			t.Errorf("%s: convergence %v ms", label, p.ConvergeMs.Mean())
+		if p.num("converge_ms_mean") <= 0 {
+			t.Errorf("%s: convergence %v ms", label, p.num("converge_ms_mean"))
 		}
-		if p.Delivery.Mean() <= 0.5 {
-			t.Errorf("%s: delivery %v", label, p.Delivery.Mean())
+		if p.num("delivery_mean") <= 0.5 {
+			t.Errorf("%s: delivery %v", label, p.num("delivery_mean"))
 		}
-		if p.LedgerGap != 0 {
-			t.Errorf("%s: %d unnamed losses", label, p.LedgerGap)
+		if p.num("ledger_gap") != 0 {
+			t.Errorf("%s: %g unnamed losses", label, p.num("ledger_gap"))
 		}
-		if p.LoopFrames != 0 || p.Blackholes != 0 || p.Dups != 0 || p.Misdelivered != 0 ||
-			p.LateReorders != 0 || p.LeakedUnits != 0 || p.LeakedBytes != 0 {
-			t.Errorf("%s: invariant counters nonzero: %+v", label, p)
+		for _, col := range []string{"loop_frames", "blackholes", "dups", "misdelivered",
+			"late_reorders", "leaked_units", "leaked_bytes"} {
+			if p.num(col) != 0 {
+				t.Errorf("%s: invariant counter %s = %g", label, col, p.num(col))
+			}
 		}
-	}
-}
-
-// TestSurvivabilityDeterministic pins the sweep's reproducibility contract:
-// the CSV is byte-identical when the grid fans across workers.
-func TestSurvivabilityDeterministic(t *testing.T) {
-	base := survivabilityTestOptions()
-	base.Parallelism = 1
-	want := survivabilityCSV(t, base)
-	if !strings.Contains(want, "leafspine") {
-		t.Fatalf("csv missing rows:\n%s", want)
-	}
-
-	fanned := survivabilityTestOptions()
-	fanned.Parallelism = 4
-	if got := survivabilityCSV(t, fanned); got != want {
-		t.Errorf("parallel sweep CSV differs:\n--- serial ---\n%s--- parallel ---\n%s", want, got)
 	}
 }
 
